@@ -46,21 +46,18 @@ class ColorBijection:
 
     def is_valid(self):
         """Whether every intersection number is preserved."""
-        m = self.mapping
-        if sorted(m) != list(range(self.source.rank)):
+        R = self.source.rank
+        if sorted(self.mapping) != list(range(R)):
             return False
-        src = self.source.tensor
-        dst = self.target.tensor
-        if src.nonzero_count() != dst.nonzero_count():
+        a, b, t, c = self.source.tensor.arrays()
+        a2, b2, t2, c2 = self.target.tensor.arrays()
+        if c.size != c2.size:
             return False
-        for (a, b), row in src._products.items():
-            image = dst.products(m[a], m[b])
-            if len(image) != len(row):
-                return False
-            for t, c in row.items():
-                if image.get(m[t]) != c:
-                    return False
-        return True
+        m = np.asarray(self.mapping, dtype=np.int64)
+        image = (m[a] * R + m[b]) * R + m[t]
+        order = np.argsort(image)
+        return bool(np.array_equal(image[order], (a2 * R + b2) * R + t2)
+                    and np.array_equal(c[order], c2))
 
     def inverse(self):
         inv = [0] * len(self.mapping)
@@ -316,9 +313,9 @@ def recognize_affine(cfg):
         if cfg.valencies[s] < 3:
             raise ValencyTooSmall(
                 f"valency {int(cfg.valencies[s])} of color {s} is below 3")
-    for (a, b), row in cfg.tensor._products.items():
-        if a != int(star[b]) and max(row.values()) > 1:
-            return False
+    a, b, _, c = cfg.tensor.arrays()
+    if ((a != star[b]) & (c > 1)).any():
+        return False
     # The criterion forces each relation plus the diagonal to be an
     # equivalence relation; verify as a consistency trap.
     for s in cfg.nondiagonal_colors:

@@ -14,10 +14,14 @@ Conventions:
   (``canonicalize_colors``); every derived map uses this ordering so golden
   files are reproducible.  One-point extensions keep their own fiber-ordered
   labeling and skip the relabeling step.
-* The tensor is stored sparsely as ``{(r, s): {t: c}}``.  One-point
-  extensions of a scheme on n points have rank comparable to n^2/4, which a
-  dense r^3 array cannot accommodate; a dense view is available for small
-  ranks via ``IntersectionTensor.as_array``.
+* The tensor is stored sparsely as two flat arrays: the strictly increasing
+  int64 keys (r*R + s)*R + t of the nonzero c_{rs}^t, R the rank, and their
+  counts.  One-point extensions of a scheme on n points have rank comparable
+  to n^2/4, which neither a dense R^3 array nor one Python dict per (r, s)
+  can accommodate (R <= n^2 <= 250000 keeps R^3 inside int64).  Callers read
+  it through ``IntersectionTensor``: single entries, ``products`` slices,
+  the coordinate arrays ``arrays()``, and a dense view for small ranks via
+  ``as_array``.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ from .errors import (
 )
 from .parallel import run_chunked
 
-_EMPTY: dict = {}
-
 
 def canonicalize_colors(colors):
     """Relabel color ids to first-occurrence order in a row-major scan."""
@@ -51,36 +53,60 @@ def canonicalize_colors(colors):
 
 
 class IntersectionTensor:
-    """Intersection numbers c_{rs}^t of a coherent configuration."""
+    """Intersection numbers c_{rs}^t of a coherent configuration.
 
-    def __init__(self, rank, products):
+    Only the nonzero entries are stored, as the sorted keys
+    (r*rank + s)*rank + t and their counts.
+    """
+
+    def __init__(self, rank, keys, counts):
         self.rank = rank
-        self._products = products  # {(r, s): {t: c}}, nonzero entries only
+        self._keys = keys        # int64, strictly increasing
+        self._counts = counts    # int64, all > 0
+        keys.setflags(write=False)
+        counts.setflags(write=False)
 
     def __getitem__(self, rst):
         r, s, t = rst
-        return self._products.get((r, s), _EMPTY).get(t, 0)
+        R = self.rank
+        if 0 <= r < R and 0 <= s < R and 0 <= t < R:
+            key = (int(r) * R + int(s)) * R + int(t)
+            i = self._keys.searchsorted(key)
+            if i < self._keys.size and self._keys[i] == key:
+                return int(self._counts[i])
+        return 0
 
     def products(self, r, s):
-        """Nonzero slice {t: c_{rs}^t} for fixed (r, s)."""
-        return self._products.get((r, s), _EMPTY)
+        """Nonzero slice {t: c_{rs}^t} for fixed (r, s), in ascending t."""
+        R = self.rank
+        base = (int(r) * R + int(s)) * R
+        lo, hi = np.searchsorted(self._keys, (base, base + R))
+        return dict(zip((self._keys[lo:hi] - base).tolist(),
+                        self._counts[lo:hi].tolist()))
 
     def items(self):
-        """Iterate ((r, s, t), c) over nonzero entries."""
-        for (r, s), row in self._products.items():
-            for t, c in row.items():
-                yield (r, s, t), c
+        """Iterate ((r, s, t), c) over nonzero entries in ascending key order."""
+        u, s, t, c = self.arrays()
+        for r, s, t, c in zip(u.tolist(), s.tolist(), t.tolist(), c.tolist()):
+            yield (r, s, t), c
 
     def nonzero_count(self):
-        return sum(len(row) for row in self._products.values())
+        return int(self._keys.size)
+
+    def arrays(self):
+        """Nonzero entries as flat int64 arrays (r, s, t, c), sorted by
+        (r, s, t)."""
+        R = self.rank
+        rs, t = np.divmod(self._keys, R)
+        r, s = np.divmod(rs, R)
+        return r, s, t, self._counts
 
     def as_array(self, max_rank=150):
         """Dense (r, r, r) int array; refuses for large ranks."""
         if self.rank > max_rank:
             raise TooLarge(f"rank {self.rank} exceeds dense-tensor cap {max_rank}")
         arr = np.zeros((self.rank,) * 3, dtype=np.int64)
-        for (r, s, t), c in self.items():
-            arr[r, s, t] = c
+        arr.ravel()[self._keys] = self._counts
         return arr
 
 
@@ -285,16 +311,24 @@ def validate_config(matrix, *, canonicalize=True):
             pairs=((alpha, gamma), (int(first_row[t]), int(first_col[t]))),
             counts=(c1, c2))
 
-    products: dict = {}
-    for t in range(r):
-        codes, counts = np.unique(ref[t], return_counts=True)
-        for code, c in zip(codes.tolist(), counts.tolist()):
-            rr, ss = divmod(code, r)
-            products.setdefault((rr, ss), {})[t] = c
-    tensor = IntersectionTensor(r, products)
+    tensor = _tensor_from_signatures(ref, r)
 
     return CoherentConfig(colors, star, diagonal_colors, fibers, point_fiber,
                           relation_source, relation_target, valencies, tensor)
+
+
+def _tensor_from_signatures(ref, r):
+    """The tensor from the reference signatures: row t of ``ref`` holds the
+    sorted composition codes u*r + s of one pair of color t, so each run of
+    equal codes in it is one nonzero c_{us}^t."""
+    rows, n = ref.shape
+    starts = np.ones((rows, n), dtype=bool)
+    np.not_equal(ref[:, 1:], ref[:, :-1], out=starts[:, 1:])
+    starts = np.flatnonzero(starts)
+    counts = np.diff(starts, append=rows * n)
+    keys = ref.ravel()[starts] * np.int64(r) + starts // n
+    order = np.argsort(keys)
+    return IntersectionTensor(r, keys[order], counts[order])
 
 
 def _relation_fibers(colors, point_fiber, nf, r, axis):
@@ -390,11 +424,12 @@ def is_pseudocyclic_combinatorial(cfg):
 
 def is_commutative(cfg):
     """Whether c_{rs}^t = c_{sr}^t for all triples."""
-    prods = cfg.tensor._products
-    for (a, b), row in prods.items():
-        if a < b and prods.get((b, a), _EMPTY) != row:
-            return False
-    return True
+    R = cfg.rank
+    r, s, t, c = cfg.tensor.arrays()
+    swapped = (s * R + r) * R + t
+    order = np.argsort(swapped)
+    return bool(np.array_equal(swapped[order], (r * R + s) * R + t)
+                and np.array_equal(c[order], c))
 
 
 def is_symmetric(cfg):

@@ -47,22 +47,20 @@ def _splitting_data(cfg):
     nond = cfg.nondiagonal_colors
     ident_bit = 1 << cfg.identity_color
 
-    def mask_of(ids):
-        m = 0
-        for t in ids:
-            m |= 1 << t
-        return m
-
-    ww = {w: mask_of(cfg.tensor.products(w, int(star[w]))) for w in nond}
+    product_mask = {}   # (a, b) -> bitmask of the complex product ab
+    a_ids, b_ids, t_ids, _ = cfg.tensor.arrays()
+    for a, b, t in zip(a_ids.tolist(), b_ids.tolist(), t_ids.tolist()):
+        product_mask[a, b] = product_mask.get((a, b), 0) | 1 << t
+    ww = {w: product_mask[w, int(star[w])] for w in nond}
     masks = {}
     for i, u in enumerate(nond):
-        uu = cfg.tensor.products(u, int(star[u]))
+        uu = _bits(ww[u])
         for v in nond[i:]:
-            vv = cfg.tensor.products(v, int(star[v]))
+            vv = _bits(ww[v])
             prod = 0
             for a in uu:
                 for b in vv:
-                    prod |= mask_of(cfg.tensor.products(a, b))
+                    prod |= product_mask.get((a, b), 0)
             m = 0
             for w in nond:
                 if prod & ww[w] == ident_bit:

@@ -72,12 +72,13 @@ class _Unstable(Exception):
 def _center_basis(cfg):
     """Orthonormal coefficient vectors spanning {z : [sum z_s A(s), A(t)] = 0}."""
     r = cfg.rank
+    a, b, u, c = cfg.tensor.arrays()
     eqs = np.zeros((r * r, r))
-    for (a, b), row in cfg.tensor._products.items():
-        for u, c in row.items():
-            eqs[b * r + u, a] += c   # + c_{ab}^u  at equation (t=b, u)
-            eqs[a * r + u, b] -= c   # - c_{ab}^u  at equation (t=a, u)
-    _, sv, vt = np.linalg.svd(eqs)
+    np.add.at(eqs, (b * r + u, a), c)    # + c_{ab}^u  at equation (t=b, u)
+    np.add.at(eqs, (a * r + u, b), -c)   # - c_{ab}^u  at equation (t=a, u)
+    # eqs is (r^2, r): the reduced SVD already has all r right singular
+    # vectors, without the (r^2, r^2) U of the full one.
+    _, sv, vt = np.linalg.svd(eqs, full_matrices=False)
     rank = int((sv > RANK_TOL * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
     return vt[rank:]
 
@@ -99,13 +100,6 @@ def _round_int(x, what):
     if abs(x - k) > INT_TOL * max(1.0, abs(x)):
         raise _Unstable(f"{what} = {x} is not integral")
     return int(k)
-
-
-def _tensor_arrays(cfg):
-    """Nonzero tensor entries as flat arrays (u, s, t, c)."""
-    entries = [(u, s, t, c) for (u, s, t), c in cfg.tensor.items()]
-    u, s, t, c = (np.array(col, dtype=np.int64) for col in zip(*entries))
-    return u, s, t, c
 
 
 def _attempt(cfg, reps, tensor_arrays, basis, rng):
@@ -185,7 +179,7 @@ def decompose(cfg, seed=None, retries=5):
     first = np.full(r, n * n, dtype=np.int64)
     np.minimum.at(first, flat, np.arange(n * n, dtype=np.int64))
     reps = (first // n, first % n)
-    tensor_arrays = _tensor_arrays(cfg)
+    tensor_arrays = cfg.tensor.arrays()
     basis = _center_basis(cfg)
     last = None
     for attempt in range(retries):
@@ -281,16 +275,10 @@ def terwilliger_dimension(cfg, alpha, point_cap=200):
                 vec[t] = 1.0
         gens.append(vec)
 
-    prods = ext.tensor._products
+    t_u, t_s, t_t, t_c = ext.tensor.arrays()
 
     def multiply(x, y):
-        out = np.zeros(R)
-        for (a, b), row in prods.items():
-            coeff = x[a] * y[b]
-            if coeff:
-                for t, c in row.items():
-                    out[t] += coeff * c
-        return out
+        return np.bincount(t_t, weights=x[t_u] * y[t_s] * t_c, minlength=R)
 
     basis = []          # orthonormal rows
     members = []        # raw vectors, for products

@@ -1,10 +1,14 @@
 """Validation, intersection tensor, and the combinatorial scheme tests."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
-from schemelab import cc_core
+from schemelab import cc_core, extension
+from schemelab.analysis import ColorBijection
 from schemelab.errors import (
     AxiomS1Violated,
     AxiomS2Violated,
@@ -94,6 +98,70 @@ def test_tensor_recount_random_probes(corpus):
             r = int(rng.integers(cfg.rank))
             s = int(rng.integers(cfg.rank))
             assert cfg.tensor[r, s, t] == oracles.triple_count(colors, r, s, a, g), name
+
+
+def test_tensor_api_views_agree_with_oracle(corpus):
+    for name, cfg in corpus.items():
+        R = cfg.rank
+        T = cfg.tensor
+        u, s, t, c = T.arrays()
+        keys = (u * R + s) * R + t
+        assert (np.diff(keys) > 0).all() and (c > 0).all(), name
+        items = list(T.items())
+        assert items == [((a, b, g), x) for a, b, g, x in
+                         zip(u.tolist(), s.tolist(), t.tolist(), c.tolist())], name
+        assert T.nonzero_count() == len(items), name
+        dense = T.as_array()
+        assert np.count_nonzero(dense) == len(items), name
+        reps = [cfg.relation_pairs(g)[0] for g in range(R)]
+        for a in range(R):
+            for b in range(R):
+                row = T.products(a, b)
+                assert list(row) == sorted(row), name
+                for g in range(R):
+                    count = oracles.triple_count(cfg.colors, a, b, *map(int, reps[g]))
+                    assert T[a, b, g] == dense[a, b, g] == row.get(g, 0) == count, name
+
+
+def test_is_commutative(frob23, c67k2):
+    assert not cc_core.is_commutative(frob23)
+    assert cc_core.is_commutative(c67k2)
+
+
+def test_color_transpositions_valid_iff_tensor_preserved(corpus):
+    rejected = 0
+    for name, cfg in corpus.items():
+        R = cfg.rank
+        dense = cfg.tensor.as_array()
+        for a in range(R):
+            for b in range(a + 1, R):
+                perm = np.arange(R)
+                perm[[a, b]] = [b, a]
+                preserved = np.array_equal(dense[np.ix_(perm, perm, perm)], dense)
+                assert ColorBijection(cfg, cfg, tuple(perm.tolist())).is_valid() == preserved, \
+                    (name, a, b)
+                rejected += not preserved
+    assert rejected
+
+
+def test_extension_tensor_stores_at_most_16_bytes_per_nonzero(c67k2):
+    # the rank-2245 point extension; one dict per (r, s) took ~360 bytes
+    # per nonzero
+    T = extension.coherent_closure(c67k2, {0}).tensor
+    assert T.rank == 2245
+    stored = [v for k, v in vars(T).items() if k != "rank"]
+    assert all(isinstance(v, np.ndarray) for v in stored)
+    assert sum(v.nbytes for v in stored) <= 16 * T.nonzero_count()
+
+
+def test_only_cc_core_reads_tensor_internals():
+    src = Path(cc_core.__file__).parent
+    private = re.compile(r"tensor\._|\._(keys|counts|products)\b")
+    offenders = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                 if path.name != "cc_core.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if private.search(line)]
+    assert offenders == []
 
 
 def test_complex_product_examples(z3, ag23):

@@ -225,3 +225,14 @@ def test_desk_scale_boundary():
     dec = spectral.decompose(c)
     assert spectral.is_pseudocyclic_spectral(c, dec) == 6
     assert spectral.verify_afm_identity(c, dec) < 1e-6
+
+
+def test_rank_167_center_solve_fits_in_memory():
+    # c499 k=3: the full SVD of the (167^2, 167) center equations needed a
+    # 5.8 GiB U matrix
+    from schemelab import constructors
+    c = constructors.cyclotomic_scheme(constructors.FiniteField(499), 3)
+    assert c.rank == 167
+    dec = spectral.decompose(c)
+    assert dec.pairs == [(1, 1)] + [(3, 1)] * 166
+    assert spectral.is_pseudocyclic_spectral(c, dec) == 3
