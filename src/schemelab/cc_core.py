@@ -22,6 +22,11 @@ Conventions:
   it through ``IntersectionTensor``: single entries, ``products`` slices,
   the coordinate arrays ``arrays()``, and a dense view for small ranks via
   ``as_array``.
+* S3 and the Weisfeiler-Leman closure share one kernel: the sorted
+  composition codes color(a,b)*r + color(b,g) of one row of pairs
+  (``_row_signatures``), checked class by class against the signature of
+  each class's first pair (``_verify_classes``).  The tensor is read off
+  those reference signatures.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .errors import (
     NotAScheme,
     TooLarge,
 )
-from .parallel import run_chunked
 
 
 def canonicalize_colors(colors):
@@ -189,12 +193,111 @@ def _require_scheme(cfg):
         raise NotAScheme(f"configuration has {len(cfg.fibers)} fibers")
 
 
-def _row_signatures(colors, alpha, r):
-    """Sorted composition codes of every pair (alpha, gamma); column gamma
-    holds the multiset {color(alpha,beta)*r + color(beta,gamma) : beta}."""
-    code = colors[alpha][:, None] * np.int64(r) + colors
-    code.sort(axis=0)
+def _code_matrix(colors, r):
+    """The transposed color matrix, in the narrowest integer type that holds
+    every composition code u*r + s < r^2."""
+    dtype = np.int32 if r * r <= 2**31 else np.int64
+    return np.ascontiguousarray(colors.T, dtype=dtype)
+
+
+def _row_signatures(colors_t, alpha, r):
+    """Sorted composition codes of every pair (alpha, gamma); row gamma holds
+    the multiset {color(alpha,beta)*r + color(beta,gamma) : beta}.
+    ``colors_t`` comes from ``_code_matrix``."""
+    code = colors_t[:, alpha] * colors_t.dtype.type(r) + colors_t
+    code.sort(axis=1)
     return code
+
+
+def _verify_classes(colors, r, classes):
+    """Check that all pairs of each class have one composition multiset.
+
+    Codes are taken in ``colors`` (r colors); ``classes`` partitions the
+    pairs into ids 0..m-1.  The reference of a class is the signature of its
+    first pair in row-major order.  Returns (ref, first_cell, bad): the
+    (m, n) reference signatures, the flat index of every reference pair, and
+    the first pair (alpha, gamma) in row-major order whose signature differs
+    from its reference, or None.  When ``bad`` is set, only the references
+    of classes met before it are filled in.
+    """
+    n = colors.shape[0]
+    colors_t = _code_matrix(colors, r)
+    m = int(classes.max()) + 1
+    first_cell = np.full(m, n * n, dtype=np.int64)
+    np.minimum.at(first_cell, classes.ravel(), np.arange(n * n, dtype=np.int64))
+    by_first = np.argsort(first_cell)
+    row_start = np.searchsorted(first_cell[by_first], np.arange(n + 1) * n)
+    ref = np.empty((m, n), dtype=colors_t.dtype)
+    for alpha in range(n):
+        sig = _row_signatures(colors_t, alpha, r)
+        opened = by_first[row_start[alpha]:row_start[alpha + 1]]
+        ref[opened] = sig[first_cell[opened] % n]
+        ok = (sig == ref[classes[alpha]]).all(axis=1)
+        if not ok.all():
+            return ref, first_cell, (alpha, int(np.flatnonzero(~ok)[0]))
+    return ref, first_cell, None
+
+
+def _fingerprint_weights(count):
+    """Fixed 64-bit weights: the SplitMix64 finalizer of 0..count-1."""
+    z = np.arange(count, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _fingerprint_classes(colors, r):
+    """Group the pairs by old color and a 64-bit fingerprint of their
+    composition multisets, D[a,g] = sum_b h1[c(a,b)] * h2[c(b,g)] mod 2^64;
+    ids in row-major first-occurrence order, independent of the weights."""
+    n = colors.shape[0]
+    weights = _fingerprint_weights(2 * r)
+    digests = (weights[:r][colors] @ weights[r:][colors]).ravel()
+    flat = colors.ravel()
+    order = np.lexsort((digests, flat))
+    opens = np.ones(n * n, dtype=bool)
+    opens[1:] = (flat[order[1:]] != flat[order[:-1]]) | (
+        digests[order[1:]] != digests[order[:-1]])
+    groups = np.empty(n * n, dtype=np.int64)
+    groups[order] = np.cumsum(opens) - 1
+    return canonicalize_colors(groups.reshape(n, n))
+
+
+def _exact_regroup(colors, r):
+    """Collision-proof refinement step keyed on raw sorted-code bytes."""
+    n = colors.shape[0]
+    colors_t = _code_matrix(colors, r)
+    mapping = {}
+    new = np.empty((n, n), dtype=np.int64)
+    for alpha in range(n):
+        sig = _row_signatures(colors_t, alpha, r)
+        for gamma in range(n):
+            key = (int(colors[alpha, gamma]), sig[gamma].tobytes())
+            new[alpha, gamma] = mapping.setdefault(key, len(mapping))
+    return new
+
+
+def _weisfeiler_leman(colors):
+    """The coarsest coherent configuration refining a color matrix, by 2-dim
+    Weisfeiler-Leman refinement.
+
+    Each round recolors every pair by its old color and its composition
+    multiset.  Multisets are grouped by fingerprint, then every class is
+    verified exactly against its reference signature; a class holding two
+    multisets (a fingerprint collision) sends the round to exact raw-byte
+    grouping.  The round that verifies and leaves the coloring unchanged
+    has already proved S3, so its references give the tensor.
+    """
+    colors = canonicalize_colors(colors)
+    r = int(colors.max()) + 1
+    while True:
+        new = _fingerprint_classes(colors, r)
+        ref, _, bad = _verify_classes(colors, r, new)
+        if bad is not None:
+            new = _exact_regroup(colors, r)
+        elif int(new.max()) + 1 == r:
+            return _checked_config(colors, r, ref)
+        colors, r = new, int(new.max()) + 1
 
 
 def validate_config(matrix, *, canonicalize=True):
@@ -219,7 +322,13 @@ def validate_config(matrix, *, canonicalize=True):
         raise ValueError("relation ids must be contiguous from 0")
     if canonicalize:
         colors = canonicalize_colors(colors)
+    return _checked_config(colors, r)
 
+
+def _checked_config(colors, r, ref=None):
+    """Check S1, S2, fibers and valencies, then S3 unless ``ref`` already
+    holds the verified reference signatures of every color."""
+    n = colors.shape[0]
     # S1: a color that meets the diagonal must lie inside it.
     diag = colors.diagonal().copy()
     diag_counts = np.bincount(diag, minlength=r)
@@ -257,59 +366,37 @@ def validate_config(matrix, *, canonicalize=True):
     # S3 with the triple (s, s*, 1_fiber), checked here for a sharper error).
     rowcount = np.zeros((n, r), dtype=np.int64)
     np.add.at(rowcount, (np.arange(n)[:, None], colors), 1)
-    valencies = np.zeros(r, dtype=np.int64)
-    for s in range(r):
-        rows = fibers[relation_source[s]]
-        v = rowcount[rows, s]
-        if not np.all(v == v[0]):
-            bad = rows[int(np.flatnonzero(v != v[0])[0])]
-            a0 = int(rows[0])
-            raise AxiomS3Violated(
-                f"valency of color {s} differs between points {a0} and {int(bad)}",
-                triple=(s, int(star[s]), int(diag[a0])),
-                pairs=((a0, a0), (int(bad), int(bad))),
-                counts=(int(v[0]), int(rowcount[bad, s])))
-        valencies[s] = v[0]
+    source_point = np.array([f[0] for f in fibers])[relation_source]
+    valencies = rowcount[source_point, np.arange(r)]
+    off = (rowcount != valencies) & (point_fiber[:, None] == relation_source)
+    if off.any():
+        s = int(np.flatnonzero(off.any(axis=0))[0])
+        a0, bad = int(source_point[s]), int(np.flatnonzero(off[:, s])[0])
+        raise AxiomS3Violated(
+            f"valency of color {s} differs between points {a0} and {bad}",
+            triple=(s, int(star[s]), int(diag[a0])),
+            pairs=((a0, a0), (bad, bad)),
+            counts=(int(valencies[s]), int(rowcount[bad, s])))
 
     # S3 in full: the sorted composition-code multiset of (alpha, gamma) must
     # be identical for all pairs of each color.  References are pinned at the
-    # row-major first occurrence of every color, so threaded verification is
-    # deterministic.
-    flat = colors.ravel()
-    first_cell = np.full(r, n * n, dtype=np.int64)
-    np.minimum.at(first_cell, flat, np.arange(n * n, dtype=np.int64))
-    first_row = first_cell // n
-    first_col = first_cell % n
-    ref = np.empty((r, n), dtype=np.int64)
-    for alpha in np.unique(first_row):
-        sig = _row_signatures(colors, int(alpha), r)
-        for t in np.flatnonzero(first_row == alpha):
-            ref[t] = sig[:, first_col[t]]
-
-    bad_cells = np.full(n, -1, dtype=np.int64)
-
-    def check_rows(lo, hi):
-        for alpha in range(lo, hi):
-            sig = _row_signatures(colors, alpha, r)
-            ok = (sig == ref[colors[alpha]].T).all(axis=0)
-            if not ok.all():
-                bad_cells[alpha] = int(np.flatnonzero(~ok)[0])
-
-    run_chunked(check_rows, n)
-    bad_rows = np.flatnonzero(bad_cells >= 0)
-    if bad_rows.size:
-        alpha = int(bad_rows[0])
-        gamma = int(bad_cells[alpha])
-        t = int(colors[alpha, gamma])
-        sig = _row_signatures(colors, alpha, r)[:, gamma]
-        code, c1, c2 = _first_multiset_difference(sig, ref[t])
-        rr, ss = divmod(code, r)
-        raise AxiomS3Violated(
-            f"c[{rr}][{ss}][{t}] is {c1} at pair ({alpha},{gamma}) but {c2} at "
-            f"pair ({int(first_row[t])},{int(first_col[t])})",
-            triple=(int(rr), int(ss), t),
-            pairs=((alpha, gamma), (int(first_row[t]), int(first_col[t]))),
-            counts=(c1, c2))
+    # row-major first occurrence of every color, so an error names the first
+    # deviating pair and the first pair of its color, the same on every run.
+    if ref is None:
+        ref, first_cell, bad = _verify_classes(colors, r, colors)
+        if bad is not None:
+            alpha, gamma = bad
+            t = int(colors[alpha, gamma])
+            t_row, t_col = divmod(int(first_cell[t]), n)
+            sig = _row_signatures(_code_matrix(colors, r), alpha, r)[gamma]
+            code, c1, c2 = _first_multiset_difference(sig, ref[t])
+            rr, ss = divmod(code, r)
+            raise AxiomS3Violated(
+                f"c[{rr}][{ss}][{t}] is {c1} at pair ({alpha},{gamma}) but {c2} at "
+                f"pair ({t_row},{t_col})",
+                triple=(int(rr), int(ss), t),
+                pairs=((alpha, gamma), (t_row, t_col)),
+                counts=(c1, c2))
 
     tensor = _tensor_from_signatures(ref, r)
 

@@ -18,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import analysis, cc_core, constructors, extension, parallel, permgroup, spectral
+from . import analysis, cc_core, constructors, extension, permgroup, spectral
 from .errors import (
     AxiomViolation,
     ConditionsFail,
@@ -307,8 +307,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="schemelab",
         description="coherent configurations and association schemes at desk scale")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for tensor/refinement phases")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a scheme and write it as JSON")
@@ -358,7 +356,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    parallel.set_threads(args.threads)
     try:
         return args.func(args)
     except ConditionsFail as exc:
@@ -374,8 +371,6 @@ def main(argv=None):
     except SchemeLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    finally:
-        parallel.set_threads(1)
 
 
 if __name__ == "__main__":  # pragma: no cover

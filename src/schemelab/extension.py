@@ -1,6 +1,7 @@
 """One-point extensions: splitting sets, the explicit construction for
-equivalenced schemes, a generic coherent-closure (2-dim Weisfeiler-Leman)
-oracle, and semiregularity checks.
+equivalenced schemes, a generic coherent-closure oracle (2-dim
+Weisfeiler-Leman, run by ``cc_core`` next to the S3 signature kernel), and
+semiregularity checks.
 
 The explicit method partitions each block alpha·u x alpha·v either directly
 (restricting the relations of u*v when |u*v| equals the valency) or by
@@ -11,7 +12,6 @@ is re-verified as a built-in bug trap.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -27,7 +27,6 @@ from .errors import (
     NotEquivalenced,
     ValidationFailed,
 )
-from .parallel import run_chunked
 
 
 @dataclass
@@ -316,87 +315,11 @@ def semiregularity_report(cfg, alpha):
         extension_semiregular=restriction_semiregular(ext, alpha))
 
 
-def _column_digests(colors, r, out):
-    """64-bit fingerprints of the sorted composition codes of every pair."""
-    n = colors.shape[0]
-
-    def rows(lo, hi):
-        for a in range(lo, hi):
-            code = colors[a][:, None] * np.int64(r) + colors
-            code.sort(axis=0)
-            cols = np.ascontiguousarray(code.T)
-            row_out = out[a]
-            for g in range(n):
-                digest = hashlib.blake2b(cols[g].tobytes(), digest_size=8).digest()
-                row_out[g] = int.from_bytes(digest, "little")
-
-    run_chunked(rows, n)
-
-
-def _exact_regroup(colors, r):
-    """Collision-proof refinement step keyed on raw sorted-code bytes."""
-    n = colors.shape[0]
-    mapping = {}
-    new = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        code = colors[a][:, None] * np.int64(r) + colors
-        code.sort(axis=0)
-        cols = np.ascontiguousarray(code.T)
-        for g in range(n):
-            key = (int(colors[a, g]), cols[g].tobytes())
-            new[a, g] = mapping.setdefault(key, len(mapping))
-    return new
-
-
-def _wl_step(colors):
-    """One refinement round: recolor each pair by its old color plus the
-    multiset of composition color pairs through every middle point.
-
-    Multisets are fingerprinted to 64 bits; a verification pass compares the
-    actual multisets within every new class and falls back to exact raw-byte
-    grouping when a collision is detected.
-    """
-    n = colors.shape[0]
-    r = int(colors.max()) + 1
-    digests = np.empty((n, n), dtype=np.uint64)
-    _column_digests(colors, r, digests)
-    combined = np.empty(n * n, dtype=[("c", np.int64), ("d", np.uint64)])
-    combined["c"] = colors.ravel()
-    combined["d"] = digests.ravel()
-    _, inverse = np.unique(combined, return_inverse=True)
-    new = cc_core.canonicalize_colors(inverse.reshape(n, n))
-    new_r = int(new.max()) + 1
-
-    # Verify the fingerprint grouping against the true multisets.
-    flat = new.ravel()
-    first = np.full(new_r, n * n, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(n * n, dtype=np.int64))
-    ref = np.empty((new_r, n), dtype=np.int64)
-    for a in np.unique(first // n):
-        code = colors[int(a)][:, None] * np.int64(r) + colors
-        code.sort(axis=0)
-        for t in np.flatnonzero(first // n == a):
-            ref[t] = code[:, first[t] % n]
-    collision = np.zeros(1, dtype=bool)
-
-    def verify(lo, hi):
-        for a in range(lo, hi):
-            code = colors[a][:, None] * np.int64(r) + colors
-            code.sort(axis=0)
-            if not (code == ref[new[a]].T).all():
-                collision[0] = True
-
-    run_chunked(verify, n)
-    if collision[0]:
-        new = _exact_regroup(colors, r)
-        new_r = int(new.max()) + 1
-    return new, new_r > r
-
-
 def coherent_closure(cfg, distinguished=()):
     """The smallest coherent configuration refining cfg with 1_beta split off
-    for every distinguished beta, by 2-dim Weisfeiler-Leman refinement."""
-    colors = cfg.colors.astype(np.int64, copy=True)
+    for every distinguished beta, by 2-dim Weisfeiler-Leman refinement
+    (``cc_core._weisfeiler_leman``: fingerprinted rounds, verified exactly)."""
+    colors = cfg.colors
     n = cfg.n
     dist = sorted(set(int(b) for b in distinguished))
     if any(b < 0 or b >= n for b in dist):
@@ -406,10 +329,5 @@ def coherent_closure(cfg, distinguished=()):
         for i, b in enumerate(dist):
             marks[b] = i + 1
         base = np.int64(len(dist) + 1)
-        key = colors * base * base + marks[:, None] * base + marks[None, :]
-        colors = cc_core.canonicalize_colors(key)
-    while True:
-        colors, changed = _wl_step(colors)
-        if not changed:
-            break
-    return cc_core.validate_config(colors, canonicalize=False)
+        colors = colors * base * base + marks[:, None] * base + marks[None, :]
+    return cc_core._weisfeiler_leman(colors)

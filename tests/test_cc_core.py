@@ -77,6 +77,24 @@ def test_axiom_s3_violation_reports_witnesses():
     assert err.counts[0] != err.counts[1]
 
 
+def test_valency_violation_reports_first_color_and_point():
+    # fibers {0, 1} and {2, 3, 4}; color 4 runs between them with valency
+    # 1 at point 0 but 2 at point 1
+    bad = [[0, 2, 4, 5, 5],
+           [2, 0, 4, 4, 5],
+           [6, 6, 1, 3, 3],
+           [7, 6, 3, 1, 3],
+           [7, 7, 3, 3, 1]]
+    with pytest.raises(AxiomS3Violated,
+                       match="valency of color 4 differs between points 0 and 1"):
+        cc_core.validate_config(bad, canonicalize=False)
+    path = [[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]]
+    with pytest.raises(AxiomS3Violated) as info:
+        cc_core.validate_config(path)
+    err = info.value
+    assert (err.triple, err.pairs, err.counts) == ((1, 1, 0), ((0, 0), (1, 1)), (1, 2))
+
+
 def test_noncontiguous_ids_rejected():
     with pytest.raises(ValueError):
         cc_core.validate_config([[0, 3], [3, 0]])

@@ -1,6 +1,10 @@
 """CLI construction, analysis, extension, checks, exit codes, golden files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,14 +91,32 @@ def test_roundtrip_byte_identical(c67_file):
     assert cli.dump_scheme(cfg, meta) == raw
 
 
-def test_golden_determinism_across_runs_and_threads(tmp_path, capsys):
+def test_golden_determinism_across_runs(tmp_path, capsys):
     paths = []
-    for i, threads in enumerate(("1", "1", "3")):
+    for i in range(3):
         p = tmp_path / f"g{i}.json"
-        assert run(capsys, "--threads", threads, "construct", "cyclotomic",
+        assert run(capsys, "construct", "cyclotomic",
                    "--p", "13", "--k-order", "3", "-o", str(p))[0] == 0
         paths.append(p.read_bytes())
     assert paths[0] == paths[1] == paths[2]
+
+
+def test_cli_and_closure_leave_heavy_modules_unimported():
+    # hashlib, thread pools and numpy.random each add to the RSS of every
+    # command; none is needed to load the CLI or to run a WL closure
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import schemelab.cli\n"
+        "from schemelab import constructors, extension\n"
+        "cfg = constructors.frobenius_example_scheme(2, 3)\n"
+        "extension.coherent_closure(cfg, {0})\n"
+        "print(*[m for m in ('hashlib', 'concurrent.futures', 'numpy.random')\n"
+        "        if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
 
 
 def test_analyze_human_and_json(c67_file, capsys):

@@ -233,20 +233,49 @@ def test_extension_fibers_match_stabilizer_orbits(c67k2):
     assert orbits == fibers
 
 
-def test_threaded_validation_and_closure_identical(c67k2):
-    from schemelab import parallel
-    res1 = extension.coherent_closure(c67k2, {0})
-    cfg1 = cc_core.validate_config(c67k2.colors)
-    parallel.set_threads(3)
-    try:
-        res3 = extension.coherent_closure(c67k2, {0})
-        cfg3 = cc_core.validate_config(c67k2.colors)
-    finally:
-        parallel.set_threads(1)
-    assert np.array_equal(res1.colors, res3.colors)
-    assert np.array_equal(cfg1.colors, cfg3.colors)
-    for a1, a3 in zip(cfg1.tensor.arrays(), cfg3.tensor.arrays()):
-        assert np.array_equal(a1, a3)
+def _assert_same_config(a, b):
+    assert a.diagonal_colors == b.diagonal_colors
+    assert len(a.fibers) == len(b.fibers)
+    assert all(np.array_equal(f, g) for f, g in zip(a.fibers, b.fibers))
+    for name in ("colors", "star", "valencies", "point_fiber",
+                 "relation_source", "relation_target"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for x, y in zip(a.tensor.arrays(), b.tensor.arrays()):
+        assert np.array_equal(x, y)
+
+
+def test_closure_config_equals_full_validation(corpus, c67k2):
+    # the closure builds its tensor from the references of its last,
+    # verified WL round instead of a second S3 pass; both must agree
+    for cfg in list(corpus.values()) + [c67k2]:
+        res = extension.coherent_closure(cfg, {0})
+        _assert_same_config(
+            res, cc_core.validate_config(res.colors, canonicalize=False))
+
+
+def test_fingerprint_collisions_fall_back_to_exact_grouping(
+        monkeypatch, ag23, z3, c13k3):
+    import oracles
+    normal = extension.coherent_closure(c13k3, {0})
+    regroups = []
+    exact_regroup = cc_core._exact_regroup
+
+    def spy(colors, r):
+        regroups.append(r)
+        return exact_regroup(colors, r)
+
+    # constant weights give every pair the same fingerprint
+    monkeypatch.setattr(cc_core, "_fingerprint_weights",
+                        lambda count: np.ones(count, dtype=np.uint64))
+    monkeypatch.setattr(cc_core, "_exact_regroup", spy)
+    for cfg, dist in ((z3, (0,)), (ag23, (0,)), (ag23, (0, 4)), (z3, ())):
+        ours = extension.coherent_closure(cfg, dist)
+        naive = np.array(oracles.wl_closure_naive(cfg.colors.tolist(), dist))
+        assert np.array_equal(ours.colors, cc_core.canonicalize_colors(naive))
+    assert regroups
+    regroups.clear()
+    _assert_same_config(extension.coherent_closure(c13k3, {0}), normal)
+    assert regroups
 
 
 def test_explicit_extension_composition_branch(c151k3):
