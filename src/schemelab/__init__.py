@@ -12,6 +12,7 @@ from .cc_core import (
     canonicalize_colors,
     complex_product,
     indistinguishing_number,
+    indistinguishing_numbers,
     is_commutative,
     is_equivalenced,
     is_pseudocyclic_combinatorial,

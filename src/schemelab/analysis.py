@@ -379,59 +379,36 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
     src, dst = phi.source, phi.target
     ext1 = extension.explicit_extension(src, alpha)
     ext2 = extension.explicit_extension(dst, alpha_prime, check_conditions=False)
-    k = cc_core.is_equivalenced(src)
-    star = src.star
-    e1 = src.identity_color
 
-    data = extension._splitting_data(src)
-
-    def block_piece_color(ext, cfgref, apoint, u, v, orig_color):
-        """Extension color of the piece orig_color ∩ (a·u x a·v)."""
-        au = ext.fiber_points[u]
-        av = ext.fiber_points[v]
-        for x in au:
-            for y in av:
-                if cfgref.colors[x, y] == orig_color:
-                    return int(ext.config.colors[x, y]), (x, y)
-        raise ValidationFailed(
-            f"color {orig_color} missing from block ({u},{v})")  # pragma: no cover
+    def first_cell(cfgref, rows, cols, color):
+        """The first pair of rows x cols, row-major, in the given color."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        hits = np.argwhere(cfgref.colors[np.ix_(rows, cols)] == color)
+        if not hits.size:
+            raise ValidationFailed(f"color {color} missing from a target block")
+        return int(rows[hits[0, 0]]), int(cols[hits[0, 1]])
 
     mapping = [-1] * ext1.config.rank
     for cid in range(ext1.config.rank):
         u, v = ext1.relation_block[cid]
-        pairs = ext1.config.relation_pairs(cid)
-        x0, y0 = int(pairs[0][0]), int(pairs[0][1])
-        if u == e1 or v == e1 or len(cc_core.complex_product(src, int(star[u]), v)) == k:
-            c_orig = int(src.colors[x0, y0])
-            image, _ = block_piece_color(ext2, dst, alpha_prime,
-                                         phi(u), phi(v), phi(c_orig))
-            mapping[cid] = image
+        x0, y0 = (int(p) for p in ext1.config.relation_pairs(cid)[0])
+        w = ext1.splitting_relations.get((u, v))
+        if w is None:
+            # direct block: the piece is an original color, mapped by phi
+            cell = first_cell(dst, ext2.fiber_points[phi(u)],
+                              ext2.fiber_points[phi(v)], phi(int(src.colors[x0, y0])))
         else:
-            w = min(extension._bits(data.masks[(u, v)]))
-            au = ext1.fiber_points[u]
-            aw = ext1.fiber_points[w]
-            av = ext1.fiber_points[v]
-            piece = {int(x): int(y) for x, y in pairs}
-            left = extension._block_matchings(src, au, aw)
-            right = extension._block_matchings(src, aw, av)
-            found = next(((a, b) for a in left for b in right
-                          if all(b[a[x]] == piece[x] for x in piece)), None)
-            if found is None:
-                raise ValidationFailed(
-                    f"no factorization through w={w} for color {cid}")
-            a, b = found
-            s1 = int(src.colors[x0, a[x0]])
-            s2 = int(src.colors[a[x0], piece[x0]])
-            # compose the phi-images of the two matchings in the target
-            au2 = ext2.fiber_points[phi(u)]
-            aw2 = ext2.fiber_points[phi(w)]
-            av2 = ext2.fiber_points[phi(v)]
-            m1 = {x: next(z for z in aw2 if dst.colors[x, z] == phi(s1))
-                  for x in au2}
-            m2 = {z: next(y for y in av2 if dst.colors[z, y] == phi(s2))
-                  for z in aw2}
-            x2 = au2[0]
-            mapping[cid] = int(ext2.config.colors[x2, m2[m1[x2]]])
+            # composed block: the piece is the matching of the smallest color
+            # s1 of block (u, w), followed by the matching s2 of block (w, v)
+            # that carries x0 on to y0; compose their phi-images in the target
+            aw = np.asarray(ext1.fiber_points[w])
+            z = int(aw[np.argmin(src.colors[x0, aw])])
+            s1, s2 = int(src.colors[x0, z]), int(src.colors[z, y0])
+            x2 = ext2.fiber_points[phi(u)][0]
+            _, z2 = first_cell(dst, [x2], ext2.fiber_points[phi(w)], phi(s1))
+            _, y2 = first_cell(dst, [z2], ext2.fiber_points[phi(v)], phi(s2))
+            cell = (x2, y2)
+        mapping[cid] = int(ext2.config.colors[cell])
 
     bij = ColorBijection(ext1.config, ext2.config, tuple(mapping))
     if not bij.is_valid():

@@ -454,13 +454,23 @@ def complex_product(cfg, r, s):
     return frozenset(cfg.tensor.products(r, s))
 
 
+def indistinguishing_numbers(cfg):
+    """c(s) = sum_t c_{t t*}^s for every color s, as one int array read off
+    the tensor in a single pass; c(1_Omega) = n."""
+    _require_scheme(cfg)
+    r, s, t, c = cfg.tensor.arrays()
+    keep = s == cfg.star[r]
+    out = np.zeros(cfg.rank, dtype=np.int64)
+    np.add.at(out, t[keep], c[keep])
+    return out
+
+
 def indistinguishing_number(cfg, s):
     """c(s) = sum_t c_{t t*}^s; counts points related equally to both ends
     of a pair in s.  c(1_Omega) = n."""
     _require_scheme(cfg)
     cfg._check_id(s)
-    star = cfg.star
-    return int(sum(cfg.tensor[t, int(star[t]), s] for t in range(cfg.rank)))
+    return int(indistinguishing_numbers(cfg)[s])
 
 
 def reg_number(cfg, s):
@@ -477,10 +487,10 @@ def reg_number(cfg, s):
 def scheme_indistinguishing_number(cfg):
     """max c(s) over the non-diagonal relations (the scheme's c)."""
     _require_scheme(cfg)
-    non = cfg.nondiagonal_colors
+    non = list(cfg.nondiagonal_colors)
     if not non:
         return 0
-    return max(indistinguishing_number(cfg, s) for s in non)
+    return int(indistinguishing_numbers(cfg)[non].max())
 
 
 def is_equivalenced(cfg):
@@ -503,10 +513,8 @@ def is_pseudocyclic_combinatorial(cfg):
     k = is_equivalenced(cfg)
     if k is None:
         return None
-    for s in cfg.nondiagonal_colors:
-        if indistinguishing_number(cfg, s) != k - 1:
-            return None
-    return k
+    c = indistinguishing_numbers(cfg)[list(cfg.nondiagonal_colors)]
+    return k if (c == k - 1).all() else None
 
 
 def is_commutative(cfg):

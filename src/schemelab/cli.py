@@ -178,12 +178,14 @@ def _analyze(args):
     if cfg.is_scheme:
         k = cc_core.is_equivalenced(cfg)
         report["equivalenced_valency"] = k
-        report["indistinguishing"] = {
-            str(s): cc_core.indistinguishing_number(cfg, s)
-            for s in cfg.nondiagonal_colors}
-        report["indistinguishing_number"] = cc_core.scheme_indistinguishing_number(cfg)
-        kc = cc_core.is_pseudocyclic_combinatorial(cfg)
-        report["pseudocyclic_combinatorial"] = kc
+        c = cc_core.indistinguishing_numbers(cfg)
+        nond = cfg.nondiagonal_colors
+        report["indistinguishing"] = {str(s): int(c[s]) for s in nond}
+        # the scheme's c, and pseudocyclicity (c(s) = k - 1 off the diagonal)
+        report["indistinguishing_number"] = max(
+            report["indistinguishing"].values(), default=0)
+        report["pseudocyclic_combinatorial"] = (
+            k if k is not None and all(c[s] == k - 1 for s in nond) else None)
         dec = spectral.decompose(cfg, seed=args.seed)
         ks = spectral.is_pseudocyclic_spectral(cfg, dec)
         report["blocks"] = [list(b.pair) for b in dec.blocks]
@@ -211,48 +213,51 @@ def _analyze(args):
     return EXIT_OK
 
 
+def _extension_summary(cfg, args, method, out):
+    """One extension of ``args.point`` by ``method``, written to ``out`` when
+    given.  Returns (rank, fiber profile, semiregular, canonical colors);
+    the configuration and its tensor are freed on return, so they are not
+    alive while a second method runs."""
+    alpha = args.point
+    if method == "explicit":
+        res = extension.explicit_extension(cfg, alpha)
+        ext, semiregular = res.config, res.semiregular
+    else:
+        ext = extension.coherent_closure(cfg, {alpha})
+        semiregular = extension.restriction_semiregular(ext, alpha)
+    if out:
+        write_scheme(out, ext, {"extension_of": args.path, "point": alpha,
+                                "method": method})
+    fibers = Counter(len(f) for f in ext.fibers)
+    profile = " + ".join(f"{m}x{size}" for size, m in sorted(fibers.items()))
+    return ext.rank, profile, semiregular, cc_core.canonicalize_colors(ext.colors)
+
+
 def _extend(args):
     cfg, _ = load_scheme(args.path)
+    methods = ("explicit", "closure") if args.method == "both" else (args.method,)
+    runs = [_extension_summary(cfg, args, method, args.out if i == 0 else None)
+            for i, method in enumerate(methods)]
+    rank, fiber_profile, semiregular, _ = runs[0]
+    # equal canonical (first-occurrence) colorings are equal partitions
+    agree = bool(np.array_equal(runs[0][3], runs[1][3])) if len(runs) == 2 else None
     alpha = args.point
-    results = {}
-    if args.method in ("explicit", "both"):
-        results["explicit"] = extension.explicit_extension(cfg, alpha)
-    if args.method in ("closure", "both"):
-        closure_cfg = extension.coherent_closure(cfg, {alpha})
-        results["closure"] = extension.ExtensionResult(
-            config=closure_cfg,
-            method="closure",
-            point=alpha,
-            semiregular=extension.restriction_semiregular(closure_cfg, alpha),
-            fiber_points={},
-            relation_block=())
-    primary = results.get("explicit") or results["closure"]
-    fibers = sorted(len(f) for f in primary.config.fibers)
-    fiber_profile = " + ".join(f"{m}x{size}" for size, m in
-                               sorted(Counter(fibers).items()))
-    agree = None
-    if args.method == "both":
-        agree = cc_core.same_partition(results["explicit"].config,
-                                       results["closure"].config)
     report = {
         "point": alpha,
         "method": args.method,
-        "rank": primary.config.rank,
+        "rank": rank,
         "fibers": fiber_profile,
-        "semiregular": primary.semiregular,
+        "semiregular": semiregular,
         "methods_agree": agree,
     }
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
-        print(f"extension at point {alpha} ({args.method}): rank {report['rank']}, "
-              f"fibers {fiber_profile}, semiregular: {report['semiregular']}")
+        print(f"extension at point {alpha} ({args.method}): rank {rank}, "
+              f"fibers {fiber_profile}, semiregular: {semiregular}")
         if agree is not None:
             print(f"  methods agree: {agree}")
     if args.out:
-        write_scheme(args.out, primary.config,
-                     {"extension_of": args.path, "point": alpha,
-                      "method": primary.method})
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -3,18 +3,21 @@ equivalenced schemes, a generic coherent-closure oracle (2-dim
 Weisfeiler-Leman, run by ``cc_core`` next to the S3 signature kernel), and
 semiregularity checks.
 
-The explicit method partitions each block alpha·u x alpha·v either directly
-(restricting the relations of u*v when |u*v| equals the valency) or by
-composing the matchings through a relation w in the splitting set D(u, v).
-Both routes produce perfect matchings between fibers; every matching property
-is re-verified as a built-in bug trap.
+The splitting sets of an equivalenced scheme are held as one boolean array
+D[i, j, l] over the non-diagonal colors, read off the support of the
+intersection tensor by matrix products; the pair and triple conditions are
+reductions over it, one row i at a time.  The explicit method gathers the
+blocks alpha·u x alpha·v as k x k arrays and partitions each either
+directly (by the colors of u*v when |u*v| equals the valency) or by
+composing the matchings through a relation w in D(u, v).  Both routes
+produce perfect matchings between fibers; every matching property is
+re-verified as a built-in bug trap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,43 +32,79 @@ from .errors import (
 )
 
 
-@dataclass
-class SplittingData:
-    valency: int
-    masks: dict          # (u, v) -> bitmask of D(u, v) over color ids
-    nondiagonal: tuple
+def _splitting_array(cfg):
+    """All splitting sets of an equivalenced scheme, as (D, nond): D[i, j, l]
+    says whether nond[l] is in D(nond[i], nond[j]).
 
-
-@lru_cache(maxsize=16)
-def _splitting_data(cfg):
-    """All splitting sets of an equivalenced scheme, as bitmasks."""
-    k = cc_core.is_equivalenced(cfg)
-    if k is None:
+    With P[a, b, t] = (c_ab^t > 0), the support of uu*·vv* is two
+    contractions of P with the ww* rows, and w is in D(u, v) when that
+    support meets ww* in one relation, 1_Omega (which lies in both).  Row u
+    at a time, so temporaries stay O(rank^2).  Every product counts 0/1
+    entries over at most rank < 2^24 terms, so float32 arithmetic is exact.
+    """
+    if cc_core.is_equivalenced(cfg) is None:
         raise NotEquivalenced("splitting sets require an equivalenced scheme")
-    star = cfg.star
+    R = cfg.rank
     nond = cfg.nondiagonal_colors
-    ident_bit = 1 << cfg.identity_color
+    m = len(nond)
+    a, b, t, _ = cfg.tensor.arrays()
+    P = np.zeros((R, R, R), dtype=bool)
+    P[a, b, t] = True
+    idx = np.array(nond, dtype=np.int64)
+    ww = P[idx, cfg.star[idx]]                             # [w, t]
+    wwf = ww.astype(np.float32)
+    D = np.empty((m, m, m), dtype=bool)
+    for i in range(m):
+        uu_b = P[ww[i]].any(axis=0).astype(np.float32)      # [b, t]: uu*·b
+        support = (wwf @ uu_b > 0).astype(np.float32)       # [j, t]: uu*·vv*
+        D[i] = support @ wwf.T == 1
+    D.setflags(write=False)
+    return D, nond
 
-    product_mask = {}   # (a, b) -> bitmask of the complex product ab
-    a_ids, b_ids, t_ids, _ = cfg.tensor.arrays()
-    for a, b, t in zip(a_ids.tolist(), b_ids.tolist(), t_ids.tolist()):
-        product_mask[a, b] = product_mask.get((a, b), 0) | 1 << t
-    ww = {w: product_mask[w, int(star[w])] for w in nond}
-    masks = {}
-    for i, u in enumerate(nond):
-        uu = _bits(ww[u])
-        for v in nond[i:]:
-            vv = _bits(ww[v])
-            prod = 0
-            for a in uu:
-                for b in vv:
-                    prod |= product_mask.get((a, b), 0)
-            m = 0
-            for w in nond:
-                if prod & ww[w] == ident_bit:
-                    m |= 1 << w
-            masks[(u, v)] = masks[(v, u)] = m
-    return SplittingData(k, masks, nond)
+
+# config -> (D, nond) for the per-pair public queries, which callers run in
+# loops over all pairs; an entry dies with its config.  ``explicit_extension``
+# builds its own array once per call and leaves nothing behind.
+_SPLITTING = weakref.WeakKeyDictionary()
+
+
+def _cached_splitting_array(cfg):
+    if cfg not in _SPLITTING:
+        _SPLITTING[cfg] = _splitting_array(cfg)
+    return _SPLITTING[cfg]
+
+
+def _pair_failures(D, i, js):
+    """Whether the pair (i, j) fails, for each j in ``js``: D(u, v) is empty,
+    or some w, w' in it have no common relation in D(u, w), D(u, w'),
+    D(v, w) and D(v, w')."""
+    duv = D[i, js]                                      # [j, w]
+    X = (D[js] & D[i]).astype(np.float32)               # [j, w, t]
+    meet = X @ X.transpose(0, 2, 1) > 0                 # [j, w, w']
+    both = duv[:, :, None] & duv[:, None, :]
+    return ~duv.any(axis=1) | (both & ~meet).any(axis=(1, 2))
+
+
+def _triple_failures(D, i, js):
+    """F[j, l]: whether D(u, v), D(v, w) and D(w, u) have no common relation,
+    for u = i, v in ``js`` and every w."""
+    return ~(D[js] & D[i, js][:, None, :] & D[i][None, :, :]).any(axis=2)
+
+
+def _check_conditions(D, nond):
+    """Raise ConditionsFail at the first failing pair (i <= j), else at the
+    first failing triple (i <= j <= l), both in lexicographic order."""
+    m = len(nond)
+    for i in range(m):
+        bad = _pair_failures(D, i, np.arange(i, m))
+        if bad.any():
+            raise ConditionsFail(nond[i], nond[i + int(np.argmax(bad))])
+    for i in range(m):
+        # row r of the slice is j = i + r; keep only l >= j
+        bad = np.triu(_triple_failures(D, i, np.arange(i, m)), k=i)
+        if bad.any():
+            j, l = np.argwhere(bad)[0]
+            raise ConditionsFail(nond[i], nond[i + int(j)], nond[int(l)])
 
 
 def _check_nondiagonal(cfg, s):
@@ -74,71 +113,83 @@ def _check_nondiagonal(cfg, s):
         raise BadRelationId(f"relation {s} is diagonal")
 
 
-def _bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+def _indices(cfg, *colors):
+    """The splitting array and the positions of ``colors`` in its axes."""
+    _require_scheme(cfg)
+    for s in colors:
+        _check_nondiagonal(cfg, s)
+    D, nond = _cached_splitting_array(cfg)
+    return D, [nond.index(s) for s in colors]
 
 
 def splitting_set(cfg, u, v):
     """D(u, v) = {w non-diagonal : (uu* vv*) and ww* meet only in 1_Omega}."""
-    _require_scheme(cfg)
-    _check_nondiagonal(cfg, u)
-    _check_nondiagonal(cfg, v)
-    data = _splitting_data(cfg)
-    return frozenset(_bits(data.masks[(u, v)]))
+    D, (i, j) = _indices(cfg, u, v)
+    nond = cfg.nondiagonal_colors
+    return frozenset(nond[l] for l in np.flatnonzero(D[i, j]))
 
 
 def check_pair_condition(cfg, u, v):
     """Whether every w, w' in D(u, v) admit a common relation in
     D(u,w), D(u,w'), D(v,w) and D(v,w'); implies D(u, v) is non-empty."""
-    _require_scheme(cfg)
-    _check_nondiagonal(cfg, u)
-    _check_nondiagonal(cfg, v)
-    data = _splitting_data(cfg)
-    duv = _bits(data.masks[(u, v)])
-    if not duv:
-        return False
-    for i, w in enumerate(duv):
-        for w2 in duv[i:]:
-            joint = (data.masks[(u, w)] & data.masks[(u, w2)]
-                     & data.masks[(v, w)] & data.masks[(v, w2)])
-            if not joint:
-                return False
-    return True
+    D, (i, j) = _indices(cfg, u, v)
+    return not _pair_failures(D, i, np.array([j]))[0]
 
 
 def check_triple_condition(cfg, u, v, w):
     """Whether D(u, v), D(v, w) and D(w, u) have a common relation."""
-    _require_scheme(cfg)
-    for s in (u, v, w):
-        _check_nondiagonal(cfg, s)
-    data = _splitting_data(cfg)
-    return bool(data.masks[(u, v)] & data.masks[(v, w)] & data.masks[(w, u)])
+    D, (i, j, l) = _indices(cfg, u, v, w)
+    return bool((D[i, j] & D[j, l] & D[l, i]).any())
+
+
+def _blocks(colors, rows, cols):
+    """The color blocks rows[i] x cols[j] of two stacks of point arrays, as
+    one array indexed [i, j, a, b]."""
+    return colors[rows[:, None, :, None], cols[None, :, None, :]]
+
+
+def _matchings(blocks):
+    """The relations of a stack of square color blocks as permutations:
+    perm[c, s, a] = b where the cell (a, b) of block c has the s-th smallest
+    color of that block.  Raises unless every relation of every block is a
+    perfect matching."""
+    k = blocks.shape[1]
+    order = np.argsort(blocks, axis=2)
+    rows = np.take_along_axis(blocks, order, axis=2)
+    ok = ((rows == rows[:, :1]).all(axis=(1, 2))            # rows hold the same colors,
+          & (rows[:, 0, 1:] > rows[:, 0, :-1]).all(axis=1)  # once each,
+          & (np.sort(order, axis=1) == np.arange(k)[:, None]).all(axis=(1, 2)))  # in every column
+    if not ok.all():
+        block = blocks[int(np.argmin(ok))]
+        for s in np.unique(block):
+            hits = block == s
+            if not ((hits.sum(axis=0) == 1).all() and (hits.sum(axis=1) == 1).all()):
+                raise ValidationFailed(
+                    f"block relation {s} is not a perfect matching")
+    return order.transpose(0, 2, 1)
+
+
+def _block_matchings(cfg, au, aw):
+    """The relations of a block as dicts x -> y in ascending color order;
+    they must be perfect matchings, which holds whenever |u*w| equals the
+    valency."""
+    au, aw = np.asarray(au), np.asarray(aw)
+    perms = _matchings(_blocks(cfg.colors, au[None], aw[None])[0])[0]
+    return [dict(zip(au.tolist(), aw[p].tolist())) for p in perms]
 
 
 def point_partition(cfg, alpha, u, v):
     """The nonempty sets s ∩ (alpha·u x alpha·v) for s in u*v, as lists of
     point pairs; their union is the whole block."""
     _require_scheme(cfg)
-    cfg._check_id(u)
-    cfg._check_id(v)
-    au = [int(x) for x in cfg.neighbors(alpha, u)]
-    av = [int(y) for y in cfg.neighbors(alpha, v)]
-    colors = cfg.colors
-    pieces = {}
-    for x in au:
-        for y in av:
-            pieces.setdefault(int(colors[x, y]), []).append((x, y))
+    au, av = cfg.neighbors(alpha, u), cfg.neighbors(alpha, v)
+    block = _blocks(cfg.colors, au[None], av[None])[0, 0]
+    present = np.unique(block)
     uv = cc_core.complex_product(cfg, int(cfg.star[u]), v)
-    if set(pieces) - set(uv):
+    if set(present.tolist()) - uv:
         raise ValidationFailed("block colors escape u*v")  # pragma: no cover
-    return [pieces[s] for s in sorted(pieces)]
+    return [[(int(au[a]), int(av[b])) for a, b in np.argwhere(block == s)]
+            for s in present]
 
 
 @dataclass
@@ -147,7 +198,9 @@ class ExtensionResult:
 
     ``fiber_points`` maps each original color u to the fiber alpha·u (the
     diagonal color of the original scheme owns the singleton {alpha});
-    ``relation_block`` maps every new color to its (u, v) block.
+    ``relation_block`` maps every new color to its (u, v) block;
+    ``splitting_relations`` maps every block (u, v) built by composing
+    matchings to its splitting relation w = min D(u, v).
     """
     config: cc_core.CoherentConfig
     method: str
@@ -155,24 +208,33 @@ class ExtensionResult:
     semiregular: bool
     fiber_points: dict
     relation_block: tuple
+    splitting_relations: dict = field(default_factory=dict)
 
 
-def _block_matchings(cfg, au, aw):
-    """The relations of a block as dicts x -> y; they must be perfect
-    matchings, which holds whenever |u*w| equals the valency."""
-    colors = cfg.colors
-    by_color = {}
-    for x in au:
-        for y in aw:
-            by_color.setdefault(int(colors[x, y]), {})[x] = y
-    out = []
-    for s in sorted(by_color):
-        m = by_color[s]
-        if len(m) != len(au) or len(set(m.values())) != len(au):
-            raise ValidationFailed(
-                f"block relation {s} is not a perfect matching")
-        out.append(m)
-    return out
+def _composed_pieces(left, right, k, where):
+    """The pieces of blocks (u, v) composed through w, from the matchings
+    of the blocks (u, w) and (w, v): piece[c, p, a] = b.
+
+    The composite of the s1-th matching on the left with the s2-th on the
+    right is a permutation pi of the k points, named by pi(0), so that
+    piece p is the one through the cell (0, p).  The k^2 composites must
+    give exactly k distinct pieces; ``where(c)`` names block c in errors."""
+    c = left.shape[0]
+    blk = np.arange(c)[:, None]
+    comp = right[blk[:, :, None, None], np.arange(k)[None, None, :, None],
+                 left[:, :, None, :]].reshape(c, k * k, k)
+    first = comp[:, :, 0]
+    pieces = np.empty((c, k, k), dtype=np.int64)
+    pieces[blk, first] = comp
+    named = np.zeros((c, k), dtype=bool)
+    named[blk, first] = True
+    ok = named.all(axis=1) & (pieces[blk, first] == comp).all(axis=(1, 2))
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        parts = len(np.unique(comp[bad], axis=0))
+        raise ValidationFailed(
+            f"S(u,v;w) has {parts} parts at {where(bad)}, expected {k}")
+    return pieces
 
 
 def explicit_extension(cfg, alpha, *, check_conditions=True):
@@ -190,68 +252,11 @@ def explicit_extension(cfg, alpha, *, check_conditions=True):
     k = cc_core.is_equivalenced(cfg)
     if k is None:
         raise NotEquivalenced("explicit extension requires an equivalenced scheme")
-    data = _splitting_data(cfg)
-    nond = list(data.nondiagonal)
+    D, nond = _splitting_array(cfg)
     if check_conditions:
-        for i, u in enumerate(nond):
-            for v in nond[i:]:
-                if not check_pair_condition(cfg, u, v):
-                    raise ConditionsFail(u, v)
-        for u, v, w in combinations_with_replacement(nond, 3):
-            if not check_triple_condition(cfg, u, v, w):
-                raise ConditionsFail(u, v, w)
-
-    n = cfg.n
-    e = cfg.identity_color
-    star = cfg.star
-    fiber_order = [e] + nond
-    fiber_points = {
-        u: ((alpha,) if u == e else tuple(int(x) for x in cfg.neighbors(alpha, u)))
-        for u in fiber_order}
-
-    new = np.full((n, n), -1, dtype=np.int64)
-    relation_block = []
-    for u in fiber_order:
-        au = fiber_points[u]
-        for v in fiber_order:
-            av = fiber_points[v]
-            if u == e and v == e:
-                pieces = [[(alpha, alpha)]]
-            elif u == e:
-                pieces = [[(alpha, y) for y in av]]
-            elif v == e:
-                pieces = [[(x, alpha) for x in au]]
-            else:
-                uv = cc_core.complex_product(cfg, int(star[u]), v)
-                if len(uv) == k:
-                    pieces = point_partition(cfg, alpha, u, v)
-                else:
-                    w = min(_bits(data.masks[(u, v)]))
-                    aw = fiber_points[w]
-                    left = _block_matchings(cfg, au, aw)
-                    right = _block_matchings(cfg, aw, av)
-                    seen = {}
-                    for a in left:
-                        for b in right:
-                            comp = tuple(sorted((x, b[a[x]]) for x in a))
-                            seen[comp] = None
-                    pieces = [list(c) for c in seen]
-                    if len(pieces) != k:
-                        raise ValidationFailed(
-                            f"S(u,v;w) has {len(pieces)} parts at "
-                            f"u={u}, v={v}, w={w}, expected {k}")
-            pieces.sort(key=lambda piece: min(x * n + y for x, y in piece))
-            for piece in pieces:
-                cid = len(relation_block)
-                relation_block.append((u, v))
-                for x, y in piece:
-                    if new[x, y] >= 0:
-                        raise ValidationFailed(
-                            f"cell ({x},{y}) colored twice in block ({u},{v})")
-                    new[x, y] = cid
-    if (new < 0).any():
-        raise ValidationFailed("extension matrix is not fully colored")
-
+        _check_conditions(D, nond)
+    new, fiber_points, relation_block, splitting_relations = \
+        _extension_matrix(cfg, alpha, k, D, nond)
     try:
         config = cc_core.validate_config(new, canonicalize=False)
     except AxiomViolation as exc:
@@ -265,7 +270,84 @@ def explicit_extension(cfg, alpha, *, check_conditions=True):
         point=alpha,
         semiregular=restriction_semiregular(config, alpha),
         fiber_points=fiber_points,
-        relation_block=tuple(relation_block))
+        relation_block=relation_block,
+        splitting_relations=splitting_relations)
+
+
+def _extension_matrix(cfg, alpha, k, D, nond):
+    """The color matrix of the explicit extension with its fiber points,
+    relation blocks and splitting relations.
+
+    Every non-diagonal block alpha·u x alpha·v splits into k perfect
+    matchings: the colors of u*v where |u*v| = k, else the composites
+    through w = min D(u, v).  Each piece meets the first row of its block
+    once, so numbering the pieces of a block by that column orders them by
+    first cell, and every id follows from its block's position alone."""
+    n, m, R = cfg.n, len(nond), cfg.rank
+    colors = cfg.colors
+    e = cfg.identity_color
+    # Layout order: alpha, then each fiber alpha·u in ascending color order.
+    rest = np.argsort(colors[alpha], kind="stable")
+    rest = rest[rest != alpha]
+    order = np.concatenate(([alpha], rest))
+    F = rest.reshape(m, k)
+    fiber_points = {e: (alpha,)}
+    fiber_points.update(zip(nond, map(tuple, F.tolist())))
+
+    # pieces[i, j, q, a] = b: the cells (a, b) of the q-th piece of block (i, j)
+    idx = np.array(nond, dtype=np.int64)
+    a, b, _, _ = cfg.tensor.arrays()
+    product_size = np.bincount(a * R + b, minlength=R * R).reshape(R, R)
+    direct = product_size[cfg.star[idx]][:, idx] == k
+    pieces = np.empty((m, m, k, k), dtype=np.int64)
+    pieces[direct] = _matchings(_blocks(colors, F, F)[direct])
+    I, J = np.nonzero(~direct)
+    splitting_relations = {}
+    if I.size:
+        has_w = D[I, J].any(axis=1)
+        if not has_w.all():
+            c = int(np.argmin(has_w))
+            raise ConditionsFail(nond[I[c]], nond[J[c]])
+        W = np.argmax(D[I, J], axis=1)
+        for i, j in ((I, W), (W, J)):
+            if not direct[i, j].all():
+                c = int(np.argmin(direct[i, j]))
+                raise ValidationFailed(
+                    f"block ({nond[i[c]]},{nond[j[c]]}) relations are not "
+                    f"perfect matchings")
+        pieces[I, J] = _composed_pieces(
+            pieces[I, W], pieces[W, J], k,
+            lambda c: f"u={nond[I[c]]}, v={nond[J[c]]}, w={nond[W[c]]}")
+        splitting_relations = {(nond[i], nond[j]): nond[w]
+                               for i, j, w in zip(I.tolist(), J.tolist(), W.tolist())}
+
+    # local[i, j, a, b]: the piece of cell (a, b), numbered by its column in
+    # row 0; a cell left at -1 lies in no piece, one covered twice leaves
+    # another uncovered
+    mi = np.arange(m)[:, None, None, None]
+    local = np.full((m, m, k, k), -1, dtype=np.int64)
+    local[mi, mi.reshape(1, m, 1, 1), np.arange(k), pieces] = pieces[..., :1]
+    if (local < 0).any():
+        i, j = np.argwhere((local < 0).any(axis=(2, 3)))[0]
+        raise ValidationFailed(
+            f"block ({nond[i]},{nond[j]}) is not covered once by its pieces")
+
+    # Ids in fiber order: (e, e), then (e, v) for each v, then for each u
+    # the block (u, e) followed by the k pieces of every (u, v).
+    row_base = 1 + m + np.arange(m) * (1 + m * k)
+    ids = np.empty((n, n), dtype=np.int64)
+    ids[0, 0] = 0
+    ids[0, 1:] = 1 + np.repeat(np.arange(m), k)
+    ids[1:, 0] = np.repeat(row_base, k)
+    local += row_base[:, None, None, None] + 1 + k * mi.reshape(1, m, 1, 1)
+    ids[1:, 1:] = local.transpose(0, 2, 1, 3).reshape(n - 1, n - 1)
+    new = np.empty((n, n), dtype=np.int64)
+    new[np.ix_(order, order)] = ids
+    relation_block = [(e, e)] + [(e, v) for v in nond]
+    for u in nond:
+        relation_block.append((u, e))
+        relation_block.extend((u, v) for v in nond for _ in range(k))
+    return new, fiber_points, tuple(relation_block), splitting_relations
 
 
 def is_semiregular(cfg):

@@ -24,6 +24,68 @@ def indistinguishing(colors, s):
     return counts.pop()
 
 
+def splitting_sets_naive(cfg):
+    """D(u, v) for every pair of non-diagonal colors of an equivalenced
+    scheme, as int bitmasks over color ids, by Python loops over complex
+    products read from the color matrix: t is in ab iff some middle point
+    of one pair of t sees a, then b."""
+    colors = cfg.colors
+    star = cfg.star
+    nond = cfg.nondiagonal_colors
+    ident_bit = 1 << cfg.identity_color
+    product_mask = {}   # (a, b) -> bitmask of the complex product ab
+    for t in range(cfg.rank):
+        x, y = np.argwhere(colors == t)[0]
+        for a, b in set(zip(colors[x].tolist(), colors[:, y].tolist())):
+            product_mask[a, b] = product_mask.get((a, b), 0) | 1 << t
+    ww = {w: product_mask[w, int(star[w])] for w in nond}
+    masks = {}
+    for i, u in enumerate(nond):
+        uu = _bits(ww[u])
+        for v in nond[i:]:
+            vv = _bits(ww[v])
+            prod = 0
+            for a in uu:
+                for b in vv:
+                    prod |= product_mask.get((a, b), 0)
+            m = 0
+            for w in nond:
+                if prod & ww[w] == ident_bit:
+                    m |= 1 << w
+            masks[(u, v)] = masks[(v, u)] = m
+    return masks
+
+
+def pair_condition_naive(masks, u, v):
+    """Every w, w' in D(u, v) share a relation of D(u,w), D(u,w'), D(v,w)
+    and D(v,w'); false when D(u, v) is empty."""
+    duv = _bits(masks[(u, v)])
+    if not duv:
+        return False
+    for i, w in enumerate(duv):
+        for w2 in duv[i:]:
+            if not (masks[(u, w)] & masks[(u, w2)]
+                    & masks[(v, w)] & masks[(v, w2)]):
+                return False
+    return True
+
+
+def triple_condition_naive(masks, u, v, w):
+    """D(u, v), D(v, w) and D(w, u) share a relation."""
+    return bool(masks[(u, v)] & masks[(v, w)] & masks[(w, u)])
+
+
+def _bits(mask):
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
+
+
 def reg(colors, rank, s):
     """reg(s) = sum_t c_{st}^t by direct recounts."""
     total = 0

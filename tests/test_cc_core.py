@@ -182,6 +182,15 @@ def test_only_cc_core_reads_tensor_internals():
     assert offenders == []
 
 
+def test_only_extension_reads_extension_internals():
+    src = Path(cc_core.__file__).parent
+    offenders = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                 if path.name != "extension.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if "extension._" in line]
+    assert offenders == []
+
+
 def test_complex_product_examples(z3, ag23):
     assert cc_core.complex_product(z3, 1, 1) == {2}
     # 1_Omega * s = {s}
@@ -209,6 +218,13 @@ def test_indistinguishing_numbers(corpus, c13k3, ag23):
     for s in ag23.nondiagonal_colors:
         assert oracles.indistinguishing(ag23.colors, s) == 1
         assert cc_core.indistinguishing_number(ag23, s) == 1
+
+
+def test_indistinguishing_numbers_in_one_pass_match_oracle(corpus):
+    for name, cfg in corpus.items():
+        c = cc_core.indistinguishing_numbers(cfg)
+        assert c.tolist() == [oracles.indistinguishing(cfg.colors, s)
+                              for s in range(cfg.rank)], name
 
 
 def test_reg_numbers(z3, c13k3, ag23):

@@ -103,7 +103,8 @@ def test_golden_determinism_across_runs(tmp_path, capsys):
 
 def test_cli_and_closure_leave_heavy_modules_unimported():
     # hashlib, thread pools and numpy.random each add to the RSS of every
-    # command; none is needed to load the CLI or to run a WL closure
+    # command; none is needed to load the CLI, to run a WL closure or to
+    # build an explicit extension
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys\n"
@@ -111,6 +112,8 @@ def test_cli_and_closure_leave_heavy_modules_unimported():
         "from schemelab import constructors, extension\n"
         "cfg = constructors.frobenius_example_scheme(2, 3)\n"
         "extension.coherent_closure(cfg, {0})\n"
+        "c67 = constructors.cyclotomic_scheme(constructors.FiniteField(67), 2)\n"
+        "extension.explicit_extension(c67, 0)\n"
         "print(*[m for m in ('hashlib', 'concurrent.futures', 'numpy.random')\n"
         "        if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=src)

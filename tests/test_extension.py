@@ -1,12 +1,16 @@
 """Splitting sets, explicit one-point extensions, the closure oracle, and
 semiregularity."""
 
+import gc
+import hashlib
+import weakref
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from schemelab import cc_core, extension, permgroup
+import oracles
+from schemelab import cc_core, constructors, extension, permgroup
 from schemelab.errors import BadRelationId, ConditionsFail, NotEquivalenced
 
 
@@ -340,3 +344,105 @@ def test_extension_equals_stabilizer_orbitals_gf67(c67k2):
         permgroup.PermutationGroup(c67k2.n, stab, stab))
     res = extension.explicit_extension(c67k2, 0)
     assert cc_core.same_partition(orb, res.config)
+
+
+def test_splitting_kernels_match_naive_oracles(corpus, c151k3):
+    # D(u, v) for every (u, v), the pair verdict for every (u, v) and the
+    # triple verdict for every (u, v, w), against the bitmask loops, on
+    # every equivalenced corpus scheme and on c151k3 (composition branch)
+    named = {name: cfg for name, cfg in corpus.items()
+             if cc_core.is_equivalenced(cfg) is not None}
+    named["cyclotomic-151-k3"] = c151k3
+    for name, cfg in named.items():
+        masks = oracles.splitting_sets_naive(cfg)
+        D, nond = extension._splitting_array(cfg)
+        every = np.arange(len(nond))
+        expected = [[[bool(masks[u, v] >> w & 1) for w in nond] for v in nond]
+                     for u in nond]
+        assert D.tolist() == expected, name
+        for i, u in enumerate(nond):
+            pairs = (~extension._pair_failures(D, i, every)).tolist()
+            assert pairs == [oracles.pair_condition_naive(masks, u, v)
+                             for v in nond], (name, u)
+            triples = (~extension._triple_failures(D, i, every)).tolist()
+            assert triples == [[oracles.triple_condition_naive(masks, u, v, w)
+                                for w in nond] for v in nond], (name, u)
+        u, v = nond[0], nond[-1]
+        assert extension.splitting_set(cfg, u, v) == frozenset(
+            oracles._bits(masks[u, v]))
+        assert extension.check_pair_condition(cfg, u, v) == \
+            oracles.pair_condition_naive(masks, u, v)
+        assert extension.check_triple_condition(cfg, u, v, v) == \
+            oracles.triple_condition_naive(masks, u, v, v)
+
+
+def test_condition_witnesses_follow_the_loop_order():
+    # on random symmetric splitting arrays, ConditionsFail names the first
+    # failing pair (u <= v), else the first failing triple in
+    # combinations_with_replacement order, as the naive loops meet them
+    # Half of the arrays are dense at random; in the other half only the
+    # last three colors are members of splitting sets, and their own sets
+    # are full, so every pair holds and triples fail at random.
+    rng = np.random.default_rng(5)
+    nond = tuple(range(1, 7))
+    outcomes = set()
+    for trial in range(300):
+        if trial % 2:
+            D = rng.random((6, 6, 6)) < rng.uniform(0.6, 1.0)
+        else:
+            D = np.zeros((6, 6, 6), dtype=bool)
+            D[:, :, 3:] = rng.random((6, 6, 3)) < 0.4
+            D[:, :, 3] |= ~D.any(axis=2)
+            D[3:, :, 3:] = True
+        D |= D.transpose(1, 0, 2)
+        masks = {(u, v): sum(1 << w for w, hit in zip(nond, D[i, j]) if hit)
+                 for i, u in enumerate(nond) for j, v in enumerate(nond)}
+        pairs = [(u, v, None) for i, u in enumerate(nond) for v in nond[i:]
+                 if not oracles.pair_condition_naive(masks, u, v)]
+        triples = [t for t in combinations_with_replacement(nond, 3)
+                   if not oracles.triple_condition_naive(masks, *t)]
+        expected = (pairs + triples + [None])[0]
+        try:
+            extension._check_conditions(D, nond)
+            got = None
+        except ConditionsFail as exc:
+            got = (exc.u, exc.v, exc.w)
+        assert got == expected
+        outcomes.add("pass" if got is None else "pair" if got[2] is None
+                     else "triple")
+    assert outcomes == {"pass", "pair", "triple"}
+
+
+# first 16 hex digits of sha256 over the int64 color matrix, at points 0, 1
+GOLDEN_EXPLICIT = {
+    "ag-3-3": ("2eaa3a4d0304a05e", "5855ba0f6c452a46"),
+    "cyclotomic-67-k2": ("6cd316201ef9de4c", "f48118779844ae43"),
+    "cyclotomic-151-k3": ("d677055d9b0e38ca", "23b78ba71baa4a2b"),
+}
+
+
+def test_explicit_extension_golden_colors(ag33, c67k2, c151k3):
+    named = {"ag-3-3": ag33, "cyclotomic-67-k2": c67k2,
+             "cyclotomic-151-k3": c151k3}
+    for name, pins in GOLDEN_EXPLICIT.items():
+        for alpha, pin in enumerate(pins):
+            res = extension.explicit_extension(named[name], alpha)
+            colors = np.ascontiguousarray(res.config.colors, dtype=np.int64)
+            assert hashlib.sha256(colors.tobytes()).hexdigest()[:16] == pin, \
+                (name, alpha)
+
+
+def test_conditions_fail_witness(ag23, frob23):
+    for cfg in (ag23, frob23):
+        with pytest.raises(ConditionsFail) as info:
+            extension.explicit_extension(cfg, 0)
+        assert (info.value.u, info.value.v, info.value.w) == (1, 1, None)
+
+
+def test_explicit_extension_keeps_no_reference_to_its_input():
+    cfg = constructors.affine_scheme(3, 3)
+    ref = weakref.ref(cfg)
+    extension.explicit_extension(cfg, 0)
+    del cfg
+    gc.collect()
+    assert ref() is None
