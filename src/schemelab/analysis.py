@@ -388,15 +388,17 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
             raise ValidationFailed(f"color {color} missing from a target block")
         return int(rows[hits[0, 0]]), int(cols[hits[0, 1]])
 
+    first1 = cc_core.first_cells(ext1.config.colors)
+    parent1 = src.colors.ravel()[first1]
     mapping = [-1] * ext1.config.rank
     for cid in range(ext1.config.rank):
         u, v = ext1.relation_block[cid]
-        x0, y0 = (int(p) for p in ext1.config.relation_pairs(cid)[0])
+        x0, y0 = divmod(int(first1[cid]), src.n)
         w = ext1.splitting_relations.get((u, v))
         if w is None:
             # direct block: the piece is an original color, mapped by phi
             cell = first_cell(dst, ext2.fiber_points[phi(u)],
-                              ext2.fiber_points[phi(v)], phi(int(src.colors[x0, y0])))
+                              ext2.fiber_points[phi(v)], phi(int(parent1[cid])))
         else:
             # composed block: the piece is the matching of the smallest color
             # s1 of block (u, w), followed by the matching s2 of block (w, v)
@@ -416,10 +418,7 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
     if mapping[int(ext1.config.colors[alpha, alpha])] != \
             int(ext2.config.colors[alpha_prime, alpha_prime]):
         raise ValidationFailed("extended map does not send 1_alpha to 1_alpha'")
-    for cid in range(ext1.config.rank):
-        a, b = ext1.config.relation_pairs(cid)[0]
-        parent = int(src.colors[a, b])
-        a2, b2 = ext2.config.relation_pairs(mapping[cid])[0]
-        if int(dst.colors[a2, b2]) != phi(parent):
-            raise ValidationFailed("extended map does not refine phi")
+    parent2 = dst.colors.ravel()[cc_core.first_cells(ext2.config.colors)]
+    if not np.array_equal(parent2[mapping], np.asarray(phi.mapping)[parent1]):
+        raise ValidationFailed("extended map does not refine phi")
     return bij

@@ -43,13 +43,20 @@ from .errors import (
 )
 
 
+def first_cells(ids):
+    """The row-major flat index of the first cell of each id 0..max(ids) of
+    an integer matrix; ids that do not occur get ids.size."""
+    flat = ids.ravel()
+    first = np.full(int(flat.max()) + 1, flat.size, dtype=np.int64)
+    np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int64))
+    return first
+
+
 def canonicalize_colors(colors):
     """Relabel color ids to first-occurrence order in a row-major scan."""
     colors = np.ascontiguousarray(colors, dtype=np.int64)
-    flat = colors.ravel()
-    r = int(flat.max()) + 1
-    first = np.full(r, flat.size, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int64))
+    first = first_cells(colors)
+    r = first.size
     order = np.argsort(first, kind="stable")
     relabel = np.empty(r, dtype=np.int64)
     relabel[order] = np.arange(r, dtype=np.int64)
@@ -222,9 +229,8 @@ def _verify_classes(colors, r, classes):
     """
     n = colors.shape[0]
     colors_t = _code_matrix(colors, r)
-    m = int(classes.max()) + 1
-    first_cell = np.full(m, n * n, dtype=np.int64)
-    np.minimum.at(first_cell, classes.ravel(), np.arange(n * n, dtype=np.int64))
+    first_cell = first_cells(classes)
+    m = first_cell.size
     by_first = np.argsort(first_cell)
     row_start = np.searchsorted(first_cell[by_first], np.arange(n + 1) * n)
     ref = np.empty((m, n), dtype=colors_t.dtype)

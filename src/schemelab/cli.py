@@ -5,8 +5,6 @@ Scheme files are canonical JSON ({"n", "rank", "colors", "metadata"}) with
 integer color entries only; serialization is byte-stable, so golden files
 diff cleanly.  Exit codes: 0 ok, 2 invalid input, 3 method preconditions
 fail, 4 resource caps exceeded.
-
-Environment: SCHEMELAB_SEED overrides the spectral PRNG seed.
 """
 
 from __future__ import annotations
@@ -186,7 +184,7 @@ def _analyze(args):
             report["indistinguishing"].values(), default=0)
         report["pseudocyclic_combinatorial"] = (
             k if k is not None and all(c[s] == k - 1 for s in nond) else None)
-        dec = spectral.decompose(cfg, seed=args.seed)
+        dec = spectral.decompose(cfg)
         ks = spectral.is_pseudocyclic_spectral(cfg, dec)
         report["blocks"] = [list(b.pair) for b in dec.blocks]
         report["pseudocyclic_spectral"] = None if ks is None else \
@@ -334,8 +332,6 @@ def build_parser():
     a = sub.add_parser("analyze", help="validate and report scheme invariants")
     a.add_argument("path")
     a.add_argument("--json", action="store_true")
-    a.add_argument("--seed", type=int, default=None,
-                   help="spectral PRNG seed (default fixed; SCHEMELAB_SEED overrides)")
     a.set_defaults(func=_analyze)
 
     e = sub.add_parser("extend", help="one-point extension")

@@ -1,12 +1,15 @@
 """Numerical Wedderburn decomposition of the adjacency algebra.
 
-The center of the span of the adjacency matrices is computed from the
-intersection numbers, a random center element is split into commuting
-self-adjoint parts, and their joint eigenprojections are the candidate
-central primitive idempotents.  Integer invariants (sum of m*n equal to the
-degree, sum of n^2 equal to the rank, m >= n, a principal J/n block) validate
-every decomposition; on failure the random element is redrawn with a fresh
-seed, up to five times.
+All work is on length-r coefficient vectors and r x r matrices, with no
+n x n matrix.  A random element z of the center (solved from the
+intersection numbers) acts on A = span{A(s)} by left multiplication; in the
+trace-orthonormal basis A(s)/sqrt(n n_s) its Hermitian and skew parts are
+commuting Hermitian matrices whose joint eigenspaces are the ideals e_P A,
+of dimension n_P^2.  e_P is the projection of the identity onto its ideal,
+and m_P = n e_P[identity] / n_P.  Integer invariants (sum of m*n equal to
+the degree, sum of n^2 equal to the rank, m >= n, a principal J/n block)
+and e_P e_P = e_P = e_P* validate every decomposition; on failure z is
+redrawn from the next of five fixed seeds.
 
 All numerics are double precision; no exact arithmetic is used.  The
 validation-by-integer-invariants is the module's principal trade-off.
@@ -14,7 +17,6 @@ validation-by-integer-invariants is the module's principal trade-off.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from .cc_core import _require_scheme
 from .errors import DecompositionUnstable, TooLarge
 
 DEFAULT_SEED = 20090
+ATTEMPTS = 5            # attempt i draws z with seed DEFAULT_SEED + i
 CLUSTER_TOL = 1e-8      # eigenvalue gap, relative to the spectral radius
 RANK_TOL = 1e-8         # singular-value threshold, relative to sigma_max
 INT_TOL = 1e-6          # residual allowed when rounding to integers
@@ -32,19 +35,19 @@ DEGREE_CAP = 500
 RANK_CAP = 200          # the center solver is dense in (rank^2, rank)
 
 
-def _resolve_seed(seed):
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get("SCHEMELAB_SEED")
-    return int(env) if env else DEFAULT_SEED
-
-
 @dataclass
 class IrreducibleBlock:
-    """One central primitive idempotent with multiplicity and degree."""
-    projector: np.ndarray
+    """One central primitive idempotent sum_s coefficients[s] A(s) with
+    multiplicity and degree; ``colors`` is the scheme's, not a copy."""
+    coefficients: np.ndarray
     multiplicity: int
     degree: int
+    colors: np.ndarray
+
+    @property
+    def projector(self):
+        """e_P as an n x n matrix, built on each access."""
+        return self.coefficients[self.colors]
 
     @property
     def pair(self):
@@ -83,6 +86,16 @@ def _center_basis(cfg):
     return vt[rank:]
 
 
+def _left_matrix(tensor_arrays, x, r):
+    """L[t, s] = sum_a x_a c_{as}^t, left multiplication by sum_a x_a A(a)
+    in coefficients."""
+    a, s, t, c = tensor_arrays
+    cell = t * r + s
+    w = x[a] * c
+    left = np.bincount(cell, w.real, r * r) + 1j * np.bincount(cell, w.imag, r * r)
+    return left.reshape(r, r)
+
+
 def _cluster(values, scale):
     """Split sorted eigenvalues into groups separated by gaps > tol*scale."""
     groups = []
@@ -102,49 +115,44 @@ def _round_int(x, what):
     return int(k)
 
 
-def _attempt(cfg, reps, tensor_arrays, basis, rng):
+def _attempt(cfg, tensor_arrays, basis, rng):
     n, r = cfg.n, cfg.rank
-    colors = cfg.colors
     d = basis.shape[0]
     w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     z = basis.T @ w
-    C = z[colors]  # sum_s z_s A(s), read off by color
-    H1 = (C + C.conj().T) / 2
-    H2 = (C - C.conj().T) / 2j
+    # In the basis A(s)/sqrt(n n_s) the adjoint of left multiplication by x
+    # is left multiplication by x*, so both parts below are Hermitian.
+    root = np.sqrt(cfg.valencies.astype(np.float64))
+    L = root[:, None] * _left_matrix(tensor_arrays, z, r) / root
+    H1 = (L + L.conj().T) / 2
+    H2 = (L - L.conj().T) / 2j
     scale = max(np.linalg.norm(H1, 2), np.linalg.norm(H2, 2), 1e-12)
 
-    projectors = []
+    spaces = []
     vals1, vecs1 = np.linalg.eigh(H1)
     for cl1 in _cluster(vals1, scale):
         V1 = vecs1[:, cl1]
         B = V1.conj().T @ H2 @ V1
         vals2, vecs2 = np.linalg.eigh(B)
         for cl2 in _cluster(vals2, scale):
-            V = V1 @ vecs2[:, cl2]
-            projectors.append(V @ V.conj().T)
-    if len(projectors) != d:
-        raise _Unstable(f"{len(projectors)} joint eigenspaces for center of dim {d}")
+            spaces.append(V1 @ vecs2[:, cl2])
+    if len(spaces) != d:
+        raise _Unstable(f"{len(spaces)} joint eigenspaces for center of dim {d}")
 
-    t_u, t_s, t_t, t_c = tensor_arrays
+    one = cfg.identity_color
     blocks = []
-    for P in projectors:
-        if np.abs(P @ P - P).max() > INT_TOL or np.abs(P - P.conj().T).max() > INT_TOL:
-            raise _Unstable("projector fails idempotency/hermiticity")
-        # P lies in the adjacency algebra: entries are constant per color.
-        coeffs = P[reps]
-        if np.abs(coeffs[colors] - P).max() > INT_TOL:
-            raise _Unstable("projector entries not constant on colors")
-        # Left multiplication by P in algebra coordinates: the ideal P*CS
-        # has dimension n_P^2, so n_P is the square root of its rank.
-        left = np.zeros((r, r), dtype=complex)
-        np.add.at(left, (t_t, t_s), coeffs[t_u] * t_c)
-        sv = np.linalg.svd(left, compute_uv=False)
-        dim = int((sv > RANK_TOL * sv[0]).sum())
-        n_p = _round_int(float(np.sqrt(dim)), "sqrt(dim P*CS)")
-        m_p = _round_int(float(P.trace().real) / n_p, "trace(P)/n_P")
+    for V in spaces:
+        # The identity is sqrt(n) times basis vector `one`; project it onto
+        # the ideal V and map back to coefficients.
+        e = V @ V[one].conj() / root
+        if np.abs(_left_matrix(tensor_arrays, e, r) @ e - e).max() > INT_TOL \
+                or np.abs(e[cfg.star] - e.conj()).max() > INT_TOL:
+            raise _Unstable("idempotent fails e e = e or e* = e")
+        n_p = _round_int(float(np.sqrt(V.shape[1])), "sqrt(dim e_P A)")
+        m_p = _round_int(n * float(e[one].real) / n_p, "n e_P[1] / n_P")
         if m_p < n_p:
             raise _Unstable(f"m_P={m_p} < n_P={n_p}")
-        blocks.append(IrreducibleBlock(P, m_p, n_p))
+        blocks.append(IrreducibleBlock(e, m_p, n_p, cfg.colors))
 
     if sum(b.multiplicity * b.degree for b in blocks) != n:
         raise _Unstable("sum m_P n_P != n")
@@ -152,7 +160,7 @@ def _attempt(cfg, reps, tensor_arrays, basis, rng):
         raise _Unstable("sum n_P^2 != rank")
 
     principal = [i for i, b in enumerate(blocks)
-                 if np.abs(b.projector - np.full((n, n), 1.0 / n)).max() < INT_TOL]
+                 if np.abs(b.coefficients - 1.0 / n).max() < INT_TOL]
     if len(principal) != 1 or blocks[principal[0]].pair != (1, 1):
         raise _Unstable("principal idempotent J/n not found")
     p0 = principal[0]
@@ -162,43 +170,36 @@ def _attempt(cfg, reps, tensor_arrays, basis, rng):
     return SpectralDecomposition(blocks, 0)
 
 
-def decompose(cfg, seed=None, retries=5):
+def decompose(cfg):
     """Central primitive idempotents with (m_P, n_P), principal block first.
 
-    Reproducible under a fixed seed; the SCHEMELAB_SEED environment variable
-    overrides the default.
+    Reproducible: the random central elements come from fixed seeds.
     """
     _require_scheme(cfg)
     if cfg.n > DEGREE_CAP:
         raise TooLarge(f"degree {cfg.n} exceeds spectral cap {DEGREE_CAP}")
     if cfg.rank > RANK_CAP:
         raise TooLarge(f"rank {cfg.rank} exceeds spectral cap {RANK_CAP}")
-    base_seed = _resolve_seed(seed)
-    n, r = cfg.n, cfg.rank
-    flat = cfg.colors.ravel()
-    first = np.full(r, n * n, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(n * n, dtype=np.int64))
-    reps = (first // n, first % n)
     tensor_arrays = cfg.tensor.arrays()
     basis = _center_basis(cfg)
     last = None
-    for attempt in range(retries):
-        rng = np.random.default_rng(base_seed + attempt)
+    for attempt in range(ATTEMPTS):
+        rng = np.random.default_rng(DEFAULT_SEED + attempt)
         try:
-            return _attempt(cfg, reps, tensor_arrays, basis, rng)
+            return _attempt(cfg, tensor_arrays, basis, rng)
         except _Unstable as exc:
             last = exc
-    raise DecompositionUnstable(f"all {retries} attempts failed: {last}")
+    raise DecompositionUnstable(f"all {ATTEMPTS} attempts failed: {last}")
 
 
-def is_pseudocyclic_spectral(cfg, dec=None, seed=None):
+def is_pseudocyclic_spectral(cfg, dec=None):
     """The common ratio m_P/n_P over non-principal blocks, or None.
 
     Returns Fraction(1) for the trivial rank-1 scheme (no non-principal
     blocks), matching the combinatorial convention.
     """
     if dec is None:
-        dec = decompose(cfg, seed=seed)
+        dec = decompose(cfg)
     ratios = {Fraction(b.multiplicity, b.degree) for b in dec.nonprincipal}
     if not ratios:
         return Fraction(1)
@@ -224,16 +225,13 @@ def frame_number(cfg, dec):
 
 def verify_afm_identity(cfg, dec):
     """Max-abs residual of
-    sum_s reg(s*)/n_s A(s) = n sum_P (n_P/m_P) P."""
-    n = cfg.n
-    coeffs = np.array([
+    sum_s reg(s*)/n_s A(s) = n sum_P (n_P/m_P) e_P, compared coefficient by
+    coefficient."""
+    lhs = np.array([
         cc_core.reg_number(cfg, int(cfg.star[s])) / int(cfg.valencies[s])
         for s in range(cfg.rank)])
-    lhs = coeffs[cfg.colors]
-    rhs = np.zeros((n, n), dtype=complex)
-    for b in dec.blocks:
-        rhs += (b.degree / b.multiplicity) * b.projector
-    rhs *= n
+    rhs = cfg.n * sum((b.degree / b.multiplicity) * b.coefficients
+                      for b in dec.blocks)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -258,10 +256,7 @@ def terwilliger_dimension(cfg, alpha, point_cap=200):
     ext = extension.coherent_closure(cfg, {alpha})
     R = ext.rank
 
-    parent = np.empty(R, dtype=np.int64)
-    for t in range(R):
-        a, b = ext.relation_pairs(t)[0]
-        parent[t] = cfg.colors[a, b]
+    parent = cfg.colors.ravel()[cc_core.first_cells(ext.colors)]
     ext_diag = np.array(ext.colors.diagonal())
 
     gens = []

@@ -278,3 +278,71 @@ def t_condition_naive(colors, t):
                     ok = False
         verdicts[s] = ok
     return verdicts
+
+
+def central_idempotents_naive(cfg, seed=0, tol=1e-8):
+    """(m_P, n_P, coefficients) of every central primitive idempotent, the
+    principal block first, then by (n_P, m_P), from n x n matrices.
+
+    The center is solved from intersection numbers recounted on the color
+    matrix.  A random central element C = sum_s z_s A(s) is split into its
+    Hermitian and skew-Hermitian parts, whose joint eigenprojections P are
+    the idempotents; m_P n_P = tr P, and n_P^2 is the rank of the ideal
+    P·A, read off P A(s) at one pair per color."""
+    colors = cfg.colors
+    n, r = cfg.n, cfg.rank
+    x, y = np.array([np.argwhere(colors == t)[0] for t in range(r)]).T
+    # c[a, b, t] = #{k : colors[x_t, k] = a, colors[k, y_t] = b}
+    c = np.zeros((r, r, r))
+    for t in range(r):
+        np.add.at(c[:, :, t], (colors[x[t]], colors[:, y[t]]), 1)
+    # sum_a z_a (c_{ab}^t - c_{ba}^t) = 0 for every (b, t)
+    eqs = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(r * r, r)
+    _, sv, vt = np.linalg.svd(eqs, full_matrices=False)
+    center = vt[int((sv > tol * sv[0]).sum()) if sv[0] > 0 else 0:]
+
+    rng = np.random.default_rng(seed)
+    d = len(center)
+    C = (center.T @ (rng.standard_normal(d) + 1j * rng.standard_normal(d)))[colors]
+    H1 = (C + C.conj().T) / 2
+    H2 = (C - C.conj().T) / 2j
+    gap = tol * max(np.linalg.norm(H1, 2), np.linalg.norm(H2, 2), 1e-12)
+
+    def clusters(values):
+        cuts = [0] + [i for i in range(1, len(values))
+                      if values[i] - values[i - 1] > gap] + [len(values)]
+        return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+    projectors = []
+    vals1, vecs1 = np.linalg.eigh(H1)
+    for cl1 in clusters(vals1):
+        V1 = vecs1[:, cl1]
+        vals2, vecs2 = np.linalg.eigh(V1.conj().T @ H2 @ V1)
+        for cl2 in clusters(vals2):
+            V = V1 @ vecs2[:, cl2]
+            projectors.append(V @ V.conj().T)
+    assert len(projectors) == d, "one projector per center dimension"
+
+    # onehot[k, t, s]: (k, y_t) has color s, so (P A(s))[x_t, y_t] is
+    # sum_k P[x_t, k] onehot[k, t, s]
+    onehot = colors[:, y][:, :, None] == np.arange(r)
+    blocks = []
+    for P in projectors:
+        assert np.abs(P @ P - P).max() < 1e-6, "idempotent"
+        assert np.abs(P - P.conj().T).max() < 1e-6, "Hermitian"
+        coeffs = P[x, y]
+        assert np.abs(coeffs[colors] - P).max() < 1e-6, "constant on colors"
+        ideal = np.einsum("tk,kts->ts", P[x], onehot)
+        sv = np.linalg.svd(ideal, compute_uv=False)
+        dim = int((sv > tol * sv[0]).sum())
+        n_p = int(round(np.sqrt(dim)))
+        assert n_p * n_p == dim, "ideal dimension is a square"
+        m_p = int(round(P.trace().real / n_p))
+        blocks.append((m_p, n_p, coeffs))
+    principal = [i for i, (_, _, e) in enumerate(blocks)
+                 if np.abs(e - 1.0 / n).max() < 1e-6]
+    assert len(principal) == 1, "one principal block J/n"
+    p0 = principal[0]
+    rest = sorted((i for i in range(d) if i != p0),
+                  key=lambda i: (blocks[i][1], blocks[i][0], i))
+    return [blocks[i] for i in [p0] + rest]

@@ -100,6 +100,16 @@ def test_noncontiguous_ids_rejected():
         cc_core.validate_config([[0, 3], [3, 0]])
 
 
+def test_first_cells_match_relation_pairs(corpus, c67k2):
+    ext = extension.coherent_closure(c67k2, {0})
+    assert ext.rank == 2245
+    for cfg in list(corpus.values()) + [ext]:
+        first = cc_core.first_cells(cfg.colors)
+        assert first.dtype == np.int64 and first.shape == (cfg.rank,)
+        for s in range(cfg.rank):
+            assert divmod(int(first[s]), cfg.n) == tuple(cfg.relation_pairs(s)[0])
+
+
 def test_canonicalize_first_occurrence_order():
     relabeled = cc_core.canonicalize_colors([[2, 0], [0, 2]])
     assert relabeled.tolist() == [[0, 1], [1, 0]]

@@ -223,13 +223,6 @@ def test_analyze_extension_configuration(c67_file, tmp_path, capsys):
     assert "blocks" not in report
 
 
-def test_analyze_seed_flag(c67_file, capsys):
-    code, out, _ = run(capsys, "analyze", str(c67_file), "--json",
-                       "--seed", "4321")
-    assert code == 0
-    assert json.loads(out)["pseudocyclic_spectral"] == 2
-
-
 def test_missing_family_parameters_exit_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "cyclotomic",
                        "-o", str(tmp_path / "x.json"))
