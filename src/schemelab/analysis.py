@@ -141,8 +141,7 @@ def algebraic_isomorphisms(cfg1, cfg2, max_rank=ISO_RANK_CAP):
 def realization(phi, node_cap=permgroup.SEARCH_NODE_CAP):
     """A point bijection inducing the color bijection phi, or None."""
     found = permgroup.search_color_isomorphisms(
-        phi.source, phi.target, np.asarray(phi.mapping),
-        find_all=False, node_cap=node_cap)
+        phi.source, phi.target, np.asarray(phi.mapping), node_cap=node_cap)
     return found[0] if found else None
 
 
@@ -379,38 +378,51 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
     src, dst = phi.source, phi.target
     ext1 = extension.explicit_extension(src, alpha)
     ext2 = extension.explicit_extension(dst, alpha_prime, check_conditions=False)
-
-    def first_cell(cfgref, rows, cols, color):
-        """The first pair of rows x cols, row-major, in the given color."""
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        hits = np.argwhere(cfgref.colors[np.ix_(rows, cols)] == color)
-        if not hits.size:
-            raise ValidationFailed(f"color {color} missing from a target block")
-        return int(rows[hits[0, 0]]), int(cols[hits[0, 1]])
-
     first1 = cc_core.first_cells(ext1.config.colors)
     parent1 = src.colors.ravel()[first1]
+    parent2 = dst.colors.ravel()[cc_core.first_cells(ext2.config.colors)]
+    # a direct block holds one extension color per original color
+    direct = {}
+    for cid, (block, parent) in enumerate(zip(ext2.relation_block, parent2.tolist())):
+        direct.setdefault((*block, parent), cid)
+    first_in = {}
+
+    def first_point(x, fiber, color):
+        """The first point of the target fiber alpha'·fiber in the given
+        color from x, from one lookup table per fiber."""
+        if fiber not in first_in:
+            table = np.full((dst.n, dst.rank), -1, dtype=np.int64)
+            rows = np.arange(dst.n)
+            for y in reversed(ext2.fiber_points[fiber]):
+                table[rows, dst.colors[:, y]] = y
+            first_in[fiber] = table
+        y = int(first_in[fiber][x, color])
+        if y < 0:
+            raise ValidationFailed(f"color {color} missing from a target block")
+        return y
+
     mapping = [-1] * ext1.config.rank
     for cid in range(ext1.config.rank):
         u, v = ext1.relation_block[cid]
-        x0, y0 = divmod(int(first1[cid]), src.n)
         w = ext1.splitting_relations.get((u, v))
         if w is None:
             # direct block: the piece is an original color, mapped by phi
-            cell = first_cell(dst, ext2.fiber_points[phi(u)],
-                              ext2.fiber_points[phi(v)], phi(int(parent1[cid])))
-        else:
-            # composed block: the piece is the matching of the smallest color
-            # s1 of block (u, w), followed by the matching s2 of block (w, v)
-            # that carries x0 on to y0; compose their phi-images in the target
-            aw = np.asarray(ext1.fiber_points[w])
-            z = int(aw[np.argmin(src.colors[x0, aw])])
-            s1, s2 = int(src.colors[x0, z]), int(src.colors[z, y0])
-            x2 = ext2.fiber_points[phi(u)][0]
-            _, z2 = first_cell(dst, [x2], ext2.fiber_points[phi(w)], phi(s1))
-            _, y2 = first_cell(dst, [z2], ext2.fiber_points[phi(v)], phi(s2))
-            cell = (x2, y2)
-        mapping[cid] = int(ext2.config.colors[cell])
+            key = (phi(u), phi(v), phi(int(parent1[cid])))
+            if key not in direct:
+                raise ValidationFailed(f"color {key[2]} missing from a target block")
+            mapping[cid] = direct[key]
+            continue
+        # composed block: the piece is the matching of the smallest color
+        # s1 of block (u, w), followed by the matching s2 of block (w, v)
+        # that carries x0 on to y0; compose their phi-images in the target
+        x0, y0 = divmod(int(first1[cid]), src.n)
+        aw = np.asarray(ext1.fiber_points[w])
+        z = int(aw[np.argmin(src.colors[x0, aw])])
+        s1, s2 = int(src.colors[x0, z]), int(src.colors[z, y0])
+        x2 = ext2.fiber_points[phi(u)][0]
+        z2 = first_point(x2, phi(w), phi(s1))
+        y2 = first_point(z2, phi(v), phi(s2))
+        mapping[cid] = int(ext2.config.colors[x2, y2])
 
     bij = ColorBijection(ext1.config, ext2.config, tuple(mapping))
     if not bij.is_valid():
@@ -418,7 +430,6 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
     if mapping[int(ext1.config.colors[alpha, alpha])] != \
             int(ext2.config.colors[alpha_prime, alpha_prime]):
         raise ValidationFailed("extended map does not send 1_alpha to 1_alpha'")
-    parent2 = dst.colors.ravel()[cc_core.first_cells(ext2.config.colors)]
     if not np.array_equal(parent2[mapping], np.asarray(phi.mapping)[parent1]):
         raise ValidationFailed("extended map does not refine phi")
     return bij

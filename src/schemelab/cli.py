@@ -21,7 +21,6 @@ from .errors import (
     AxiomViolation,
     ConditionsFail,
     DecompositionUnstable,
-    GroupTooLarge,
     NotAGroup,
     NotAnAffinePlane,
     OrderDoesNotDivide,
@@ -37,8 +36,7 @@ EXIT_INVALID = 2
 EXIT_PRECONDITION = 3
 EXIT_CAP = 4
 
-_CAP_ERRORS = (TooLarge, GroupTooLarge, SearchBudgetExceeded, RankTooLarge,
-               DecompositionUnstable)
+_CAP_ERRORS = (TooLarge, SearchBudgetExceeded, RankTooLarge, DecompositionUnstable)
 
 
 def dump_scheme(cfg, metadata=None):

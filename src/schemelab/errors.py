@@ -43,10 +43,6 @@ class BadRelationId(SchemeLabError):
     """Relation id out of range or of the wrong kind for the operation."""
 
 
-class GroupTooLarge(SchemeLabError):
-    """Group closure exceeded the element cap."""
-
-
 class SearchBudgetExceeded(SchemeLabError):
     """Backtracking search exceeded its node budget."""
 

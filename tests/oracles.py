@@ -4,6 +4,7 @@ Everything here recomputes quantities straight from the color matrix (or raw
 definitions), deliberately avoiding the library's tensor/search code paths.
 """
 
+from collections import deque
 from itertools import permutations
 
 import numpy as np
@@ -125,6 +126,25 @@ def automorphisms_brute(colors):
                for i in range(n) for j in range(n)):
             out.append(p)
     return out
+
+
+def group_elements_naive(generators, n):
+    """Every element of the group generated by ``generators`` (degree n),
+    by breadth-first closure from the identity."""
+    gens = [tuple(g) for g in generators]
+    e = tuple(range(n))
+    elements = [e]
+    seen = {e}
+    queue = deque([e])
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = tuple(g[i] for i in x)
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+                queue.append(y)
+    return elements
 
 
 def pair_coverage(blocks, n):

@@ -79,6 +79,26 @@ def test_separability_with_explicit_target(c13k3):
     assert analysis.is_separable_desk(c13k3, others=(relabeled,))
 
 
+def test_separability_fails_on_shrikhande_against_rook_graph():
+    # srg(16, 6, 2, 2) twice: the 4x4 rook's graph and the Shrikhande graph
+    # have the same intersection numbers but are not isomorphic (a
+    # neighbourhood induces two triangles in one, a hexagon in the other),
+    # so the search must exhaust its tree and return no realization
+    def srg(adjacent):
+        pts = [(a, b) for a in range(4) for b in range(4)]
+        return cc_core.validate_config(
+            [[0 if p == q else 1 if adjacent((q[0] - p[0]) % 4, (q[1] - p[1]) % 4)
+              else 2 for q in pts] for p in pts])
+
+    rook = srg(lambda da, db: (da == 0) != (db == 0))
+    shrikhande = srg(lambda da, db: (da, db) in {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+    phis = analysis.algebraic_isomorphisms(rook, shrikhande)
+    assert phis
+    assert all(analysis.realization(phi) is None for phi in phis)
+    assert not analysis.is_separable_desk(rook, others=(shrikhande,))
+    assert analysis.is_separable_desk(rook) and analysis.is_separable_desk(shrikhande)
+
+
 def test_fuse_amorphic_instance(ag23):
     fused = analysis.fuse(ag23, [(0,), (1, 2), (3, 4)])
     assert fused.rank == 3

@@ -310,8 +310,7 @@ def test_closure_equals_stabilizer_orbitals_when_schurian(c13k3):
     # the alpha-extension of this schurian scheme is itself schurian: the
     # closure must coincide with the 2-orbit configuration of Aut(cfg)_alpha
     G = permgroup.automorphism_group(c13k3)
-    stab = G.stabilizer_elements(0)
-    orb = permgroup.orbital_scheme(permgroup.PermutationGroup(13, stab, stab))
+    orb = permgroup.orbital_scheme(G.stabilizer(0))
     clo = extension.coherent_closure(c13k3, {0})
     assert cc_core.same_partition(orb, clo)
 
@@ -339,9 +338,7 @@ def test_extension_equals_stabilizer_orbitals_gf67(c67k2):
     # closure, and the 2-orbits of the automorphism group's stabilizer all
     # give one partition
     G = permgroup.automorphism_group(c67k2)
-    stab = G.stabilizer_elements(0)
-    orb = permgroup.orbital_scheme(
-        permgroup.PermutationGroup(c67k2.n, stab, stab))
+    orb = permgroup.orbital_scheme(G.stabilizer(0))
     res = extension.explicit_extension(c67k2, 0)
     assert cc_core.same_partition(orb, res.config)
 

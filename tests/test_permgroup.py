@@ -1,11 +1,12 @@
 """Group closure, orbital schemes, Frobenius test, automorphism search."""
 
+import time
+
 import numpy as np
 import pytest
 
 import oracles
-from schemelab import cc_core, constructors, extension, permgroup
-from schemelab.errors import GroupTooLarge
+from schemelab import analysis, cc_core, constructors, extension, permgroup
 
 
 def _agl15():
@@ -33,8 +34,12 @@ def test_generator_file(tmp_path):
 def test_closure_orders():
     assert permgroup.group_closure([(1, 2, 0)]).order == 3
     assert permgroup.group_closure([], n=4).order == 1
-    with pytest.raises(GroupTooLarge):
-        permgroup.group_closure([(1, 2, 3, 4, 5, 6, 0)], cap=5)
+    # Sym(12) from a 12-cycle and a transposition, with no element listed
+    cycle = tuple(range(1, 12)) + (0,)
+    swap = (1, 0) + tuple(range(2, 12))
+    S12 = permgroup.group_closure([cycle, swap])
+    assert S12.order == 479_001_600
+    assert tuple(reversed(range(12))) in S12
 
 
 def test_frobenius_example_group():
@@ -60,8 +65,9 @@ def test_orbital_colors_are_group_invariant(corpus):
     groups = [permgroup.group_closure([(1, 2, 3, 0), (0, 3, 2, 1)]), _agl15()]
     for G in groups:
         cfg = permgroup.orbital_scheme(G)
+        elements = oracles.group_elements_naive(G.generators, G.n)
         for _ in range(50):
-            g = G.elements[int(rng.integers(G.order))]
+            g = elements[int(rng.integers(G.order))]
             a, b = int(rng.integers(G.n)), int(rng.integers(G.n))
             assert cfg.colors[a, b] == cfg.colors[g[a], g[b]]
 
@@ -71,6 +77,10 @@ def test_non_transitive_group_gives_configuration():
     cfg = permgroup.orbital_scheme(G)
     assert not cfg.is_scheme
     assert len(cfg.fibers) == 2
+    # two fibers at the root of the search
+    A = permgroup.automorphism_group(cfg)
+    assert sorted(oracles.group_elements_naive(A.generators, 3)) == \
+        sorted(oracles.automorphisms_brute(cfg.colors))
 
 
 def test_is_frobenius():
@@ -95,7 +105,7 @@ def test_automorphism_group_small_brute_force(z3):
     # oracle: all 6 permutations of 3 points
     auts = oracles.automorphisms_brute(z3.colors)
     G = permgroup.automorphism_group(z3)
-    assert sorted(G.elements) == sorted(auts)
+    assert sorted(oracles.group_elements_naive(G.generators, 3)) == sorted(auts)
     assert G.order == 3
 
 
@@ -103,7 +113,8 @@ def test_automorphism_group_rank2_is_symmetric_group():
     cfg = cc_core.validate_config(np.ones((4, 4), dtype=int) - np.eye(4, dtype=int))
     G = permgroup.automorphism_group(cfg)
     assert G.order == 24
-    assert sorted(G.elements) == sorted(oracles.automorphisms_brute(cfg.colors))
+    assert sorted(oracles.group_elements_naive(G.generators, 4)) == \
+        sorted(oracles.automorphisms_brute(cfg.colors))
 
 
 def test_automorphism_group_contains_constructing_group(corpus):
@@ -111,7 +122,7 @@ def test_automorphism_group_contains_constructing_group(corpus):
     for G in (permgroup.group_closure([(1, 2, 3, 0), (0, 3, 2, 1)]), _agl15()):
         cfg = permgroup.orbital_scheme(G)
         auts = permgroup.automorphism_group(cfg)
-        assert all(g in auts for g in G.elements)
+        assert all(g in auts for g in oracles.group_elements_naive(G.generators, G.n))
 
 
 def test_automorphism_fix_bound_on_schurian_pseudocyclic(corpus):
@@ -122,7 +133,7 @@ def test_automorphism_fix_bound_on_schurian_pseudocyclic(corpus):
         k = cc_core.is_pseudocyclic_combinatorial(cfg)
         G = permgroup.automorphism_group(cfg)
         e = permgroup.identity(G.n)
-        for g in G.elements:
+        for g in oracles.group_elements_naive(G.generators, G.n):
             if g != e:
                 assert len(permgroup.fixed_points(g)) <= k - 1, name
 
@@ -153,7 +164,7 @@ def test_automorphisms_contain_group_heavier_members(frob23):
     G = constructors.frobenius_example_group(2, 3)
     A = permgroup.automorphism_group(frob23)
     assert A.order == 448
-    assert all(g in A for g in G.elements)
+    assert all(g in A for g in oracles.group_elements_naive(G.generators, G.n))
 
 
 def test_hollman_automorphisms_realize_psl(corpus):
@@ -173,9 +184,11 @@ def test_group_orbits_match_orbital_fibers():
 def test_automorphism_set_is_closed(corpus):
     rng = np.random.default_rng(3)
     G = permgroup.automorphism_group(corpus["paley-13"])
+    elements = oracles.group_elements_naive(G.generators, G.n)
+    assert len(elements) == G.order
     for _ in range(30):
-        a = G.elements[int(rng.integers(G.order))]
-        b = G.elements[int(rng.integers(G.order))]
+        a = elements[int(rng.integers(G.order))]
+        b = elements[int(rng.integers(G.order))]
         assert permgroup.compose(a, b) in G
         assert permgroup.inverse(a) in G
 
@@ -191,5 +204,97 @@ def test_orbital_scheme_fuzz_random_groups():
         assert oracles.coherent_axioms_brute(cfg.colors) is None
         if n <= 6:
             auts = set(oracles.automorphisms_brute(cfg.colors))
-            assert set(G.elements) <= auts
-            assert set(permgroup.automorphism_group(cfg).elements) == auts
+            assert set(oracles.group_elements_naive(G.generators, n)) <= auts
+            A = permgroup.automorphism_group(cfg)
+            assert set(oracles.group_elements_naive(A.generators, n)) == auts
+
+
+def _frobenius_by_elements(elements, n):
+    """Transitive, not regular, and no non-identity element fixes two
+    points, read off an element list."""
+    if {g[0] for g in elements} != set(range(n)) or len(elements) == n:
+        return False
+    return all(len(permgroup.fixed_points(g)) <= 1
+               for g in elements if g != permgroup.identity(n))
+
+
+def _stabilizer_orbits_by_elements(elements, n, alpha):
+    stab = [g for g in elements if g[alpha] == alpha]
+    return sorted({tuple(sorted({g[x] for g in stab})) for x in range(n)})
+
+
+def _assert_matches_enumeration(G, name):
+    elements = oracles.group_elements_naive(G.generators, G.n)
+    assert G.order == len(elements), name
+    assert all(g in G for g in elements), name
+    assert permgroup.is_frobenius(G) == _frobenius_by_elements(elements, G.n), name
+    for alpha in (0, G.n - 1):
+        assert permgroup.point_stabilizer_orbits(G, alpha) == \
+            _stabilizer_orbits_by_elements(elements, G.n, alpha), name
+    return elements
+
+
+def test_bsgs_matches_enumeration(corpus):
+    # corpus automorphism groups plus the random groups of the fuzz test:
+    # generators preserve every color, the BSGS order and membership agree
+    # with the breadth-first element list, and for n <= 8 the group is the
+    # brute-force automorphism set
+    rng = np.random.default_rng(99)
+    fuzz = []
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        gens = [tuple(map(int, rng.permutation(n)))
+                for _ in range(int(rng.integers(1, 3)))]
+        fuzz.append(permgroup.group_closure(gens))
+    cases = [(name, cfg) for name, cfg in corpus.items()]
+    for i, G in enumerate(fuzz):
+        _assert_matches_enumeration(G, f"fuzz-{i}")
+        cases.append((f"fuzz-{i}-orbitals", permgroup.orbital_scheme(G)))
+    for name, cfg in cases:
+        A = permgroup.automorphism_group(cfg)
+        for g in A.generators:
+            assert np.array_equal(cfg.colors[np.ix_(g, g)], cfg.colors), name
+        elements = _assert_matches_enumeration(A, name)
+        if cfg.n <= 8:
+            assert set(elements) == set(oracles.automorphisms_brute(cfg.colors)), name
+
+
+def test_stabilizer_is_a_group():
+    G = _agl15()
+    H = G.stabilizer(2)
+    assert H.order == 4 and all(g[2] == 2 for g in H.generators)
+    assert H.orbits() == [(0, 1, 3, 4), (2,)]
+    assert G.stabilizer(0).stabilizer(1).order == 1
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
+
+
+def test_automorphisms_of_k12_at_once():
+    # 12! = 479001600 automorphisms: listing them took hours; the BSGS
+    # needs a base of 11 points and a handful of leaves
+    k12 = cc_core.validate_config(np.ones((12, 12), dtype=int) - np.eye(12, dtype=int))
+    G, t_aut = _timed(permgroup.automorphism_group, k12)
+    assert G.order == 479_001_600
+    schurian, t_schur = _timed(analysis.is_schurian, k12)
+    assert schurian
+    assert t_aut < 1.0 and t_schur < 1.0
+
+
+def test_automorphisms_hollman16_and_c199k3_at_once():
+    hollman16 = constructors.hollman_scheme(16)
+    G, t_aut = _timed(permgroup.automorphism_group, hollman16)
+    assert G.order == 4080
+    assert not permgroup.is_frobenius(G)
+    assert cc_core.same_partition(permgroup.orbital_scheme(G), hollman16)
+    _, t_check = _timed(permgroup.is_frobenius, G)
+    assert t_aut + t_check < 2.0
+    c199k3 = constructors.cyclotomic_scheme(constructors.FiniteField(199), 3)
+    G, t_aut = _timed(permgroup.automorphism_group, c199k3)
+    assert G.order == 597
+    frobenius, t_check = _timed(permgroup.is_frobenius, G)
+    assert frobenius
+    assert t_aut + t_check < 2.0
