@@ -8,9 +8,7 @@ supplied targets); reports label that scope.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -234,68 +232,73 @@ def algebraic_fusion(cfg, group):
     return fuse(cfg, partition)
 
 
-def _pack(cols, r):
-    """Pack up to 6 color entries per int64 word (r^6 must fit)."""
-    out = np.zeros_like(cols[0], dtype=np.int64)
-    for c in cols:
-        out = out * np.int64(r) + c
-    return out
-
-
 def t_condition(cfg, t, point_cap=T_CONDITION_POINT_CAP):
     """Per-relation verdicts of the t-condition, t in {3, 4}.
 
-    For each basis relation and each k <= t, the counts of k-subset types
-    over the pairs of the relation must be constant.  The type of a 2-subset
-    is determined by the pair's own colors and is constant automatically;
-    3- and 4-subset types are counted explicitly, the latter canonicalized
-    by exact minimization over the two orderings of the non-pinned points."""
+    For each basis relation s and each k <= t, the counts of k-subset types
+    over the pairs (alpha, beta) of s must be constant.  The work is done
+    relation by relation on batches of its pairs, one integer sort per pair.
+
+    The word of a point gamma is w(gamma) = (C[alpha,gamma], C[beta,gamma]).
+    In a coherent configuration it fixes all five colors between gamma and
+    the pinned pair: C[gamma,alpha] and C[gamma,beta] are the transposes of
+    its two letters, and C[gamma,gamma] is the diagonal color of the target
+    fiber of C[alpha,gamma].  So the sorted words over all n points are the
+    3-type of the pair, plus the words of gamma in {alpha, beta}, which are
+    the only words with a diagonal letter and depend on s alone.
+    The 3-condition is implied by coherence (a word is counted by an
+    intersection number); it is kept as the gate that validates the word
+    ids: every pair must have the first pair's sorted words exactly, so the
+    ids taken from the first pair's distinct words cover every pair.
+
+    The ordered 4-type of (gamma, delta) is (w(gamma), C[gamma,delta],
+    w(delta)).  Since C[delta,gamma] is the transpose of C[gamma,delta],
+    the multiset over ordered pairs and the multiset of unordered types
+    determine each other.  Keys are taken over all n^2 ordered (gamma,
+    delta); the cells with gamma or delta in {alpha, beta}, or gamma ==
+    delta, carry a diagonal color in a word or between the points, and
+    their multiset is fixed by s and the 3-type.  So, once the 3-types
+    agree, two pairs have equal key multisets exactly when their 4-subset
+    types over the other points agree."""
     if t not in (3, 4):
         raise ValueError("t must be 3 or 4")
     n = cfg.n
     if n > point_cap:
         raise TooLarge(f"degree {n} exceeds t-condition cap {point_cap}")
     r = cfg.rank
-    if r ** 6 > 2 ** 62:
-        raise TooLarge("rank too large for type packing")
     C = cfg.colors
-    diag = C.diagonal().copy()
-    idx = np.arange(n)
+    flat = C.ravel()
+    order = np.argsort(flat, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=r))))
+    batch = max(1, 2 ** 15 // (n * n))
 
     verdicts = {}
     for s in range(r):
-        pairs = cfg.relation_pairs(s)
-        ok = True
-        ref3 = None
+        alphas, betas = np.divmod(order[starts[s]:starts[s + 1]], n)
+        ref3 = np.sort(C[alphas[0]] * r + C[betas[0]])
+        words = np.unique(ref3)
+        m = words.size
+        # key (id(gamma) * r + C[gamma, delta]) * m + id(delta) < m * m * r
+        dtype = np.int32 if m * m * r < 2 ** 31 else np.int64
+        cross = C.astype(dtype) * dtype(m)
         ref4 = None
-        for alpha, beta in pairs:
-            alpha, beta = int(alpha), int(beta)
-            others = (idx != alpha) & (idx != beta)
-            # A non-pinned point gamma contributes five colors to/from the
-            # pinned pair; their packed word typifies the 3-subset.
-            p5 = _pack([C[alpha], C[:, alpha], C[beta], C[:, beta], diag], r)
-            sig3 = np.sort(p5[others])
-            if ref3 is None:
-                ref3 = sig3
-            elif not np.array_equal(ref3, sig3):
+        ok = True
+        for lo in range(0, alphas.size, batch):
+            a, b = alphas[lo:lo + batch], betas[lo:lo + batch]
+            W = C[a] * r + C[b]
+            if not (np.sort(W, axis=1) == ref3).all():
                 ok = False
                 break
             if t < 4:
                 continue
-            # A 4-subset adds a second point delta and the cross colors; the
-            # ordered type is the word pair (p5[gamma].C[gamma,delta],
-            # p5[delta].C[delta,gamma]), which the gamma/delta swap simply
-            # exchanges, so (min, max) is the canonical unordered type.
-            hi = p5[:, None] * np.int64(r) + C
-            lo = p5[None, :] * np.int64(r) + C.T
-            mask = others[:, None] & others[None, :] & (idx[:, None] < idx[None, :])
-            packed = np.empty(int(mask.sum()), dtype=[("h", np.int64), ("l", np.int64)])
-            packed["h"] = np.minimum(hi, lo)[mask]
-            packed["l"] = np.maximum(hi, lo)[mask]
-            packed.sort()
+            ids = np.searchsorted(words, W).astype(dtype)
+            keys = ids[:, :, None] * dtype(r * m) + cross
+            keys += ids[:, None, :]
+            keys = keys.reshape(len(a), n * n)
+            keys.sort(axis=1)
             if ref4 is None:
-                ref4 = packed
-            elif not np.array_equal(ref4, packed):
+                ref4 = keys[0].copy()
+            if not (keys == ref4).all():
                 ok = False
                 break
         verdicts[s] = ok
@@ -339,29 +342,32 @@ class Design:
 def design_from_scheme(cfg):
     """Blocks alpha·s over all points and non-diagonal relations; valid
     exactly when they form a 2-(n, k, k-1) design, which happens exactly for
-    pseudocyclic schemes of valency k."""
+    pseudocyclic schemes of valency k.
+
+    The coverage of a point pair x != y is the number of alpha with
+    C[alpha, x] == C[alpha, y]: that color is never diagonal, since only
+    alpha == x makes C[alpha, x] diagonal."""
     _require_scheme(cfg)
     n = cfg.n
-    blocks = []
-    for alpha in range(n):
-        row = cfg.colors[alpha]
-        for s in cfg.nondiagonal_colors:
-            blocks.append(tuple(int(x) for x in np.flatnonzero(row == s)))
-    sizes = {len(b) for b in blocks}
-    coverage = Counter()
-    for b in blocks:
-        for pair in combinations(b, 2):
-            coverage[pair] += 1
-    covs = set(coverage.values())
-    npairs = n * (n - 1) // 2
-    if len(coverage) < npairs:
-        covs.add(0)
+    C = cfg.colors
+    # every row of a scheme holds each color s on valencies[s] points, so
+    # one stable sort per row lists the blocks of that row in color order
+    bounds = np.concatenate(([0], np.cumsum(cfg.valencies))).tolist()
+    nondiag = cfg.nondiagonal_colors
+    blocks = tuple(tuple(row[bounds[s]:bounds[s + 1]])
+                   for row in np.argsort(C, axis=1, kind="stable").tolist()
+                   for s in nondiag)
+    sizes = {int(cfg.valencies[s]) for s in nondiag}
+    columns = np.ascontiguousarray(C.T)
+    covs = set()
+    for x in range(n - 1):
+        covs.update(np.unique((columns[x + 1:] == columns[x]).sum(axis=1)).tolist())
     cmin, cmax = (min(covs), max(covs)) if covs else (0, 0)
     k = sizes.pop() if len(sizes) == 1 else None
     valid = (k is not None and covs == {k - 1})
     return Design(
         n=n,
-        blocks=tuple(blocks),
+        blocks=blocks,
         params=(n, k, (k - 1) if k is not None else None),
         valid=valid,
         coverage=(cmin, cmax))

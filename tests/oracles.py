@@ -300,6 +300,56 @@ def t_condition_naive(colors, t):
     return verdicts
 
 
+def t_condition_per_pair(cfg, t):
+    """t-condition one pair at a time: per relation, each pair's five colors
+    to and from every other point are packed into one int64 word (r^6 must
+    fit), sorted, and compared with the relation's first pair; for t = 4 the
+    unordered types of the other point pairs are compared as sorted
+    (min, max) records of (word, cross color)."""
+    n, r, C = cfg.n, cfg.rank, cfg.colors
+    if r ** 6 > 2 ** 62:
+        raise ValueError("rank too large for type packing")
+
+    def pack(cols):
+        out = np.zeros_like(cols[0], dtype=np.int64)
+        for c in cols:
+            out = out * np.int64(r) + c
+        return out
+
+    diag = C.diagonal().copy()
+    idx = np.arange(n)
+    verdicts = {}
+    for s in range(r):
+        ok = True
+        ref3 = ref4 = None
+        for alpha, beta in cfg.relation_pairs(s):
+            alpha, beta = int(alpha), int(beta)
+            others = (idx != alpha) & (idx != beta)
+            p5 = pack([C[alpha], C[:, alpha], C[beta], C[:, beta], diag])
+            sig3 = np.sort(p5[others])
+            if ref3 is None:
+                ref3 = sig3
+            elif not np.array_equal(ref3, sig3):
+                ok = False
+                break
+            if t < 4:
+                continue
+            hi = p5[:, None] * np.int64(r) + C
+            lo = p5[None, :] * np.int64(r) + C.T
+            mask = others[:, None] & others[None, :] & (idx[:, None] < idx[None, :])
+            packed = np.empty(int(mask.sum()), dtype=[("h", np.int64), ("l", np.int64)])
+            packed["h"] = np.minimum(hi, lo)[mask]
+            packed["l"] = np.maximum(hi, lo)[mask]
+            packed.sort()
+            if ref4 is None:
+                ref4 = packed
+            elif not np.array_equal(ref4, packed):
+                ok = False
+                break
+        verdicts[s] = ok
+    return verdicts
+
+
 def central_idempotents_naive(cfg, seed=0, tol=1e-8):
     """(m_P, n_P, coefficients) of every central primitive idempotent, the
     principal block first, then by (n_P, m_P), from n x n matrices.

@@ -1,6 +1,8 @@
 """Algebraic isomorphisms, schurity/separability, fusions, t-condition,
 affine recognition, designs."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -187,17 +189,72 @@ def test_t_condition_ag23_and_rank2(ag23):
 
 
 def test_t_condition_detects_irregularity():
-    # path graph P4 as a 3-color configuration is not coherent, so feed a
-    # scheme-like matrix that is coherent but fails 4-condition is hard to
-    # hand-craft; instead verify the counting machinery distinguishes the
-    # 5-cycle from the path via a direct type count on the cycle scheme
-    c5 = constructors.regular_scheme(constructors.cyclic_group_table(5))
-    fused = analysis.fuse(c5, [(0,), (1, 4), (2, 3)])  # pentagon scheme
+    # merging two parallel classes of AG(2,5) into one color and three into
+    # another is coherent (the scheme is amorphic), but the three-class color
+    # fails the 4-condition; a schurian scheme satisfies every t-condition
+    fused = analysis.fuse(constructors.affine_scheme(2, 5),
+                          [(0,), (1,), (2, 3), (4, 5, 6)])
     verdicts = analysis.t_condition(fused, 4)
-    assert isinstance(verdicts, dict) and set(verdicts) == {0, 1, 2}
-    # the pentagon is vertex- and edge-transitive with trivial pair
-    # stabilizers acting regularly; 4-condition holds
-    assert all(verdicts.values())
+    assert verdicts == {0: True, 1: True, 2: True, 3: False}
+    assert verdicts == oracles.t_condition_naive(fused.colors, 4)
+    assert not analysis.is_schurian(fused)
+    # the pentagon is vertex- and edge-transitive; 4-condition holds
+    c5 = constructors.regular_scheme(constructors.cyclic_group_table(5))
+    pentagon = analysis.fuse(c5, [(0,), (1, 4), (2, 3)])
+    assert analysis.t_condition(pentagon, 4) == {0: True, 1: True, 2: True}
+
+
+def _set_partitions(items):
+    """Every partition of the list items into blocks, in a fixed order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in _set_partitions(rest):
+        yield [[first]] + p
+        for i in range(len(p)):
+            yield p[:i] + [[first] + p[i]] + p[i + 1:]
+
+
+def _affine_plane_fusions(q):
+    """The fusions of AG(2,q) other than itself: its q + 1 parallel classes
+    are self-paired and the scheme is amorphic, so every partition of them
+    is coherent."""
+    ag = constructors.affine_scheme(2, q)
+    return [analysis.fuse(ag, [(0,)] + [tuple(c) for c in p])
+            for p in _set_partitions(list(range(1, q + 2))) if len(p) < q + 1]
+
+
+def test_t_condition_matches_per_pair_oracle_on_affine_fusions():
+    fusions4 = _affine_plane_fusions(4)
+    assert len(fusions4) == 51
+    for fused in fusions4:
+        assert analysis.t_condition(fused, 4) == \
+            oracles.t_condition_per_pair(fused, 4)
+    fusions5 = _affine_plane_fusions(5)
+    assert len(fusions5) == 202
+    verdicts = [analysis.t_condition(fused, 4) for fused in fusions5]
+    assert sum(not all(v.values()) for v in verdicts) == 125
+    sample = range(0, 202, 17)
+    assert {all(verdicts[i].values()) for i in sample} == {True, False}
+    for i in sample:
+        assert verdicts[i] == oracles.t_condition_per_pair(fusions5[i], 4)
+        assert analysis.t_condition(fusions5[i], 3) == \
+            oracles.t_condition_per_pair(fusions5[i], 3)
+
+
+def test_t_condition_at_the_point_cap():
+    # every input inside the 100-point cap finishes, at any rank: the
+    # discrete configuration on 100 points has rank 10 000
+    c97k2 = constructors.cyclotomic_scheme(constructors.FiniteField(97), 2)
+    z100 = constructors.regular_scheme(constructors.cyclic_group_table(100))
+    discrete = cc_core.validate_config(np.arange(100 * 100).reshape(100, 100))
+    for cfg in (c97k2, z100, discrete):
+        start = time.perf_counter()
+        verdicts = analysis.t_condition(cfg, 4)
+        elapsed = time.perf_counter() - start
+        assert verdicts == dict.fromkeys(range(cfg.rank), True)
+        assert elapsed < 10.0
 
 
 def test_recognize_affine(corpus, c13k3):
@@ -234,6 +291,19 @@ def test_design_validity_iff_pseudocyclic(corpus):
             assert design.valid, name
         if design.valid:
             assert pseudo == design.params[1], name
+
+
+def test_design_matches_block_and_coverage_oracles(corpus):
+    schemes = [cfg for cfg in corpus.values() if cfg.is_scheme]
+    for cfg in schemes + [constructors.hollman_scheme(16)]:
+        design = analysis.design_from_scheme(cfg)
+        assert design.blocks == tuple(
+            tuple(np.flatnonzero(cfg.colors[alpha] == s).tolist())
+            for alpha in range(cfg.n) for s in cfg.nondiagonal_colors)
+        covs = oracles.pair_coverage(design.blocks, cfg.n)
+        assert design.coverage == (min(covs), max(covs))
+        k = design.params[1]
+        assert design.valid == (k is not None and covs == {k - 1})
 
 
 def test_extend_algebraic_iso_identity(c67k2):
