@@ -19,6 +19,7 @@ from .cc_core import (
     is_symmetric,
     partition_bijection,
     reg_number,
+    reg_numbers,
     same_partition,
     scheme_indistinguishing_number,
     validate_config,

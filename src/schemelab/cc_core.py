@@ -479,6 +479,13 @@ def indistinguishing_number(cfg, s):
     return int(indistinguishing_numbers(cfg)[s])
 
 
+def reg_numbers(cfg):
+    """reg(s) = sum_t c_{s t}^t for every color s, in one pass over the tensor."""
+    _require_scheme(cfg)
+    r, t, u, c = cfg.tensor.arrays()
+    return np.bincount(r[t == u], c[t == u], cfg.rank).astype(np.int64)
+
+
 def reg_number(cfg, s):
     """reg(s) = sum_t c_{s t}^t.
 
@@ -487,7 +494,7 @@ def reg_number(cfg, s):
     """
     _require_scheme(cfg)
     cfg._check_id(s)
-    return int(sum(cfg.tensor[s, t, t] for t in range(cfg.rank)))
+    return int(reg_numbers(cfg)[s])
 
 
 def scheme_indistinguishing_number(cfg):

@@ -495,7 +495,7 @@ def _mat_mul(F, A, B):
             F.add(F.mul(c, f), F.mul(d, h)))
 
 
-def hollman_scheme(q, degree_cap=POINT_CAP):
+def hollman_scheme(q):
     """Orbital scheme of PSL(2, q) (q even) acting by conjugation on its
     cyclic subgroups of order q + 1.  Degree (q^2 - q)/2, valency q + 1.
     Desk cap: q in {8, 16}."""

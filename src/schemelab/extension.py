@@ -359,15 +359,9 @@ def restriction_semiregular(ext_cfg, alpha):
     """Semiregularity of an extension restricted to the points other than
     alpha: {alpha} must be a fiber and every color avoiding it must have
     valency at most 1."""
-    f_alpha = int(ext_cfg.point_fiber[alpha])
-    if len(ext_cfg.fibers[f_alpha]) != 1:
-        return False
-    for s in range(ext_cfg.rank):
-        if (ext_cfg.relation_source[s] != f_alpha
-                and ext_cfg.relation_target[s] != f_alpha
-                and ext_cfg.valencies[s] > 1):
-            return False
-    return True
+    fiber = int(ext_cfg.point_fiber[alpha])
+    off = (ext_cfg.relation_source != fiber) & (ext_cfg.relation_target != fiber)
+    return len(ext_cfg.fibers[fiber]) == 1 and bool((ext_cfg.valencies[off] <= 1).all())
 
 
 @dataclass

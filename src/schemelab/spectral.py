@@ -33,6 +33,7 @@ RANK_TOL = 1e-8         # singular-value threshold, relative to sigma_max
 INT_TOL = 1e-6          # residual allowed when rounding to integers
 DEGREE_CAP = 500
 RANK_CAP = 200          # the center solver is dense in (rank^2, rank)
+TERWILLIGER_POINT_CAP = 200
 
 
 @dataclass
@@ -227,9 +228,7 @@ def verify_afm_identity(cfg, dec):
     """Max-abs residual of
     sum_s reg(s*)/n_s A(s) = n sum_P (n_P/m_P) e_P, compared coefficient by
     coefficient."""
-    lhs = np.array([
-        cc_core.reg_number(cfg, int(cfg.star[s])) / int(cfg.valencies[s])
-        for s in range(cfg.rank)])
+    lhs = cc_core.reg_numbers(cfg)[cfg.star] / cfg.valencies
     rhs = cfg.n * sum((b.degree / b.multiplicity) * b.coefficients
                       for b in dec.blocks)
     return float(np.abs(lhs - rhs).max())
@@ -243,60 +242,59 @@ class TerwilligerResult:
     coincides: bool
 
 
-def terwilliger_dimension(cfg, alpha, point_cap=200):
-    """Dimension of the algebra generated by the adjacency matrices and the
-    diagonal indicators of the sets alpha·s, via span closure.
+def _segments(starts, counts):
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
-    T_alpha always embeds in the adjacency algebra of the alpha-extension,
-    so the closure runs in that algebra's coordinates; the extension
-    dimension is reported alongside for the equality comparison."""
+
+def terwilliger_dimension(cfg, alpha):
+    """Dimension of the algebra T_alpha generated by the adjacency matrices
+    and the diagonal indicators E*_u of the sets alpha·u, and of the
+    adjacency algebra of the alpha-extension, in which T_alpha lies.
+
+    Column by column: T_alpha E*_v is the smallest span of extension colors
+    with target in alpha·v that holds E*_v and is closed under every A(s)
+    and under splitting by source group u (the action of E*_u); all columns
+    are closed at once, to RANK_TOL."""
     _require_scheme(cfg)
-    if cfg.n > point_cap:
-        raise TooLarge(f"degree {cfg.n} exceeds Terwilliger cap {point_cap}")
+    if cfg.n > TERWILLIGER_POINT_CAP:
+        raise TooLarge(f"degree {cfg.n} exceeds Terwilliger cap {TERWILLIGER_POINT_CAP}")
     ext = extension.coherent_closure(cfg, {alpha})
-    R = ext.rank
-
-    parent = cfg.colors.ravel()[cc_core.first_cells(ext.colors)]
-    ext_diag = np.array(ext.colors.diagonal())
-
-    gens = []
-    for s in range(cfg.rank):
-        gens.append((parent == s).astype(np.float64))
-    for s in range(cfg.rank):
-        vec = np.zeros(R)
-        for t in ext.diagonal_colors:
-            x = int(np.flatnonzero(ext_diag == t)[0])
-            if cfg.colors[alpha, x] == s:
-                vec[t] = 1.0
-        gens.append(vec)
-
-    t_u, t_s, t_t, t_c = ext.tensor.arrays()
-
-    def multiply(x, y):
-        return np.bincount(t_t, weights=x[t_u] * y[t_s] * t_c, minlength=R)
-
-    basis = []          # orthonormal rows
-    members = []        # raw vectors, for products
-
-    def absorb(vec):
-        v = vec.astype(np.float64).copy()
-        for q in basis:
-            v -= (q @ v) * q
-        norm = np.linalg.norm(v)
-        if norm > 1e-8 * max(1.0, np.linalg.norm(vec)):
-            basis.append(v / norm)
-            members.append(vec)
-            return True
-        return False
-
-    fresh = [g for g in gens if absorb(g)]
-    while fresh:
-        new = []
-        for x in fresh:
-            for y in list(members):
-                for prod in (multiply(x, y), multiply(y, x)):
-                    if absorb(prod):
-                        new.append(prod)
-        fresh = new
-    dim = len(basis)
-    return TerwilligerResult(alpha, dim, R, dim == R)
+    r, R = cfg.rank, ext.rank
+    first = cc_core.first_cells(ext.colors)
+    parent = cfg.colors.ravel()[first]
+    source, target = (cfg.colors[alpha][x] for x in np.divmod(first, cfg.n))
+    group = target * r + source
+    sizes = np.bincount(group, minlength=r * r)
+    g = int(sizes.max())
+    pos = np.argsort(np.argsort(group, kind="stable")) - (np.cumsum(sizes) - sizes)[group]
+    # the nonzero g x g blocks of E*_u' A(s) E*_u in column v, by (v, u, s, u')
+    a, b, t, c = ext.tensor.arrays()
+    keys, block = np.unique((group[b] * r + parent[a]) * r + source[t], return_inverse=True)
+    blocks = np.bincount((block * g + pos[t]) * g + pos[b], c,
+                         keys.size * g * g).reshape(-1, g, g)
+    starts = np.searchsorted(keys // (r * r), np.arange(r * r + 1))
+    to = keys // r ** 3 * r + keys % r
+    span = np.zeros((r * r, g, g))              # projector onto each group's span
+    found = np.zeros(r * r, dtype=np.int64)
+    cu, cand = np.arange(r) * (r + 1), np.zeros((r, g))    # candidates: E*_v first
+    cand[target[ext.colors.diagonal()], pos[ext.colors.diagonal()]] = 1.0
+    while cu.size:
+        live, at, counts = np.unique(cu, return_inverse=True, return_counts=True)
+        order = np.argsort(at, kind="stable")
+        Z = np.zeros((live.size, g, counts.max()))
+        Z[at[order], :, _segments(0 * counts, counts)] = cand[order]   # per live group
+        scale = np.maximum(1.0, np.linalg.norm(Z, axis=1).max(axis=1))
+        for _ in range(2):
+            Z = Z - span[live] @ Z
+        U, sv, _ = np.linalg.svd(Z, full_matrices=False)
+        new = sv > RANK_TOL * scale[:, None]
+        span[live] += (U * new[:, None]) @ U.transpose(0, 2, 1)
+        found[live] += new.sum(axis=1)
+        fl, fj = np.nonzero(new)
+        hits = starts[live[fl] + 1] - starts[live[fl]]   # blocks out of each new direction
+        hit, of = _segments(starts[live[fl]], hits), np.repeat(np.arange(fl.size), hits)
+        hit, of = np.stack([hit, of])[:, found[to[hit]] < sizes[to[hit]]]  # open targets
+        cu = to[hit]
+        cand = np.einsum("nab,nb->na", blocks[hit], U[fl[of], :, fj[of]])
+    return TerwilligerResult(alpha, int(found.sum()), R, bool(found.sum() == R))

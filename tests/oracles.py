@@ -96,6 +96,20 @@ def reg(colors, rank, s):
     return total
 
 
+def restriction_semiregular_loop(ext_cfg, alpha):
+    """Semiregularity off alpha, one extension color at a time: {alpha} is
+    a fiber and every color avoiding it has valency at most 1."""
+    f_alpha = int(ext_cfg.point_fiber[alpha])
+    if len(ext_cfg.fibers[f_alpha]) != 1:
+        return False
+    for s in range(ext_cfg.rank):
+        if (ext_cfg.relation_source[s] != f_alpha
+                and ext_cfg.relation_target[s] != f_alpha
+                and ext_cfg.valencies[s] > 1):
+            return False
+    return True
+
+
 def valency(colors, s):
     counts = {int(c) for c in np.count_nonzero(colors == s, axis=1) if c}
     assert len(counts) == 1
@@ -160,35 +174,23 @@ def pair_coverage(blocks, n):
 
 def matrix_algebra_dimension(generators, tol=1e-8):
     """Dimension of the unital matrix algebra generated by the given n x n
-    matrices, by span closure over flattened products."""
-    gens = [np.asarray(g, dtype=float) for g in generators]
-    n = gens[0].shape[0]
-    basis = []
-
-    def absorb(mat):
-        v = mat.ravel().astype(float).copy()
-        for q in basis:
-            v -= (q @ v) * q
-        norm = np.linalg.norm(v)
-        if norm > tol * max(1.0, np.linalg.norm(mat)):
-            basis.append(v / norm)
-            return True
-        return False
-
-    members = []
-    for g in [np.eye(n)] + gens:
-        if absorb(g):
-            members.append(g)
-    fresh = list(members)
-    while fresh:
-        new = []
-        for x in fresh:
-            for y in list(members):
-                for prod in (x @ y, y @ x):
-                    if absorb(prod):
-                        members.append(prod)
-                        new.append(prod)
-        fresh = new
+    matrices: the span of all words in them, grown from the identity by
+    left multiplication with every generator until it stops growing.  Each
+    round's new words are projected off the span so far and ranked by one
+    SVD, with singular values below tol times the largest word norm (at
+    least 1) counted as zero."""
+    gens = np.array([np.asarray(g, dtype=float) for g in generators])
+    n = gens.shape[1]
+    basis = fresh = np.eye(n).reshape(1, n * n) / np.sqrt(n)
+    while len(fresh):
+        words = np.einsum("gij,kjl->gkil", gens, fresh.reshape(-1, n, n))
+        words = words.reshape(-1, n * n)
+        resid = words
+        for _ in range(2):
+            resid = resid - (resid @ basis.T) @ basis
+        _, sv, vt = np.linalg.svd(resid, full_matrices=False)
+        fresh = vt[sv > tol * max(1.0, np.linalg.norm(words, axis=1).max())]
+        basis = np.concatenate([basis, fresh])
     return len(basis)
 
 

@@ -237,6 +237,14 @@ def test_indistinguishing_numbers_in_one_pass_match_oracle(corpus):
                               for s in range(cfg.rank)], name
 
 
+def test_reg_numbers_in_one_pass_match_oracle(corpus):
+    for name, cfg in corpus.items():
+        if cfg.rank > 20:
+            continue
+        assert cc_core.reg_numbers(cfg).tolist() == [
+            oracles.reg(cfg.colors, cfg.rank, s) for s in range(cfg.rank)], name
+
+
 def test_reg_numbers(z3, c13k3, ag23):
     assert cc_core.reg_number(z3, 1) == 0
     for cfg, expect in ((c13k3, 2), (ag23, 1)):

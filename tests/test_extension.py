@@ -213,6 +213,15 @@ def test_closure_refines_and_isolates(c13k3):
     assert len(clo.fibers[int(clo.point_fiber[0])]) == 1
 
 
+def test_restriction_semiregular_matches_per_color_loop(corpus):
+    for name, cfg in corpus.items():
+        for alpha in (0, cfg.n - 1):
+            ext = extension.coherent_closure(cfg, {alpha})
+            for conf, beta in ((ext, alpha), (ext, (alpha + 1) % cfg.n), (cfg, alpha)):
+                assert (extension.restriction_semiregular(conf, beta)
+                        == oracles.restriction_semiregular_loop(conf, beta)), (name, alpha)
+
+
 def test_is_semiregular(corpus, z3):
     z4 = corpus["regular-Z4"]
     assert extension.is_semiregular(z4)

@@ -178,10 +178,64 @@ def test_decomposition_unstable_after_retries(z3, monkeypatch):
     assert calls["n"] == 5
 
 
-def test_terwilliger_degree_cap(c13k3):
+def test_terwilliger_degree_cap(monkeypatch):
     from schemelab.errors import TooLarge
+    cfg = cc_core.validate_config(1 - np.eye(201, dtype=int))
+    assert cfg.n == spectral.TERWILLIGER_POINT_CAP + 1
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure started above the cap")
+
+    monkeypatch.setattr(spectral.extension, "coherent_closure", no_closure)
     with pytest.raises(TooLarge):
-        spectral.terwilliger_dimension(c13k3, 0, point_cap=5)
+        spectral.terwilliger_dimension(cfg, 0)
+
+
+def _terwilliger_generators(cfg, alpha):
+    """The n x n generators of T_alpha: every A(s) and every E*_s."""
+    return ([cfg.adjacency(s) for s in range(cfg.rank)]
+            + [np.diag((cfg.colors[alpha] == s).astype(float)) for s in range(cfg.rank)])
+
+
+def _shrikhande():
+    # Cayley graph of Z4 x Z4 on {±(1,0), ±(0,1), ±(1,1)}: srg(16, 6, 2, 2)
+    conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    pts = [(x, y) for x in range(4) for y in range(4)]
+    return cc_core.validate_config(
+        [[0 if p == q else 1 if ((p[0] - q[0]) % 4, (p[1] - q[1]) % 4) in conn else 2
+          for q in pts] for p in pts])
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_terwilliger_strictly_inside_extension_algebra(corpus, alpha):
+    # T_alpha is a proper subalgebra of the extension algebra here
+    for cfg, dims in ((_shrikhande(), (20, 31)), (corpus["paley-13"], (21, 29))):
+        res = spectral.terwilliger_dimension(cfg, alpha)
+        assert (res.dimension, res.extension_dimension) == dims
+        assert not res.coincides
+        oracle = oracles.matrix_algebra_dimension(_terwilliger_generators(cfg, alpha))
+        assert res.dimension == oracle
+
+
+def test_terwilliger_matches_matrix_oracle_on_small_corpus(corpus):
+    for name, cfg in corpus.items():
+        if cfg.n > 16:
+            continue
+        for alpha in (0, cfg.n - 1):
+            res = spectral.terwilliger_dimension(cfg, alpha)
+            oracle = oracles.matrix_algebra_dimension(_terwilliger_generators(cfg, alpha))
+            assert res.dimension == oracle, (name, alpha)
+            assert res.dimension <= res.extension_dimension, (name, alpha)
+
+
+def test_terwilliger_cyclotomic_boundary(c67k2):
+    # c29 k=2 did not finish in 150 s under the pairwise span closure
+    from schemelab import constructors
+    c29k2 = constructors.cyclotomic_scheme(constructors.FiniteField(29), 2)
+    for cfg, dim in ((c29k2, 421), (c67k2, 2245)):
+        res = spectral.terwilliger_dimension(cfg, 0)
+        assert res.dimension == res.extension_dimension == dim
+        assert res.coincides
 
 
 def test_trivial_scheme_decomposition():
