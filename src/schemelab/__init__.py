@@ -64,8 +64,9 @@ from .extension import (
 from .analysis import (
     ColorBijection,
     Design,
+    algebraic_automorphism_group,
     algebraic_fusion,
-    algebraic_isomorphisms,
+    algebraic_isomorphism,
     design_from_scheme,
     extend_algebraic_iso,
     fuse,

@@ -2,8 +2,12 @@
 separability testing, fusions, the t-condition, affine recognition, and
 2-design extraction.
 
-Separability is decidable here only against self-maps (plus any explicitly
-supplied targets); reports label that scope.
+The algebraic automorphism group and single algebraic isomorphisms come
+from ``permgroup``'s individualization-refinement search run on the colors,
+refined by the intersection tensor; separability realizes only the group's
+generators and one map per target.  Separability is decidable here only
+against self-maps (plus any explicitly supplied targets); reports label
+that scope.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
     ValidationFailed,
 )
 
-ISO_RANK_CAP = 40
+ISO_RANK_CAP = 200
 T_CONDITION_POINT_CAP = 100
 
 
@@ -73,74 +77,66 @@ class ColorBijection:
         return cls(cfg, cfg, tuple(range(cfg.rank)))
 
 
-def algebraic_isomorphisms(cfg1, cfg2, max_rank=ISO_RANK_CAP):
-    """All tensor-preserving color bijections cfg1 -> cfg2.
+def _colors(cfg):
+    """The refinement of the colors by the tensor, and its root partition:
+    the colors by (valency, diagonal).
 
-    Backtracking over color maps with candidate filtering by the structure
-    vectors of every assigned pair.  Degrees must match; a rank mismatch
-    yields the empty list.
+    The codes of color x are (role, cells of the other two colors, c), one
+    for every nonzero c_{ab}^t in which x is a, b or t, padded with zeros to
+    the longest row.  Codes are positive, since c > 0.  Refuses ranks above
+    ``ISO_RANK_CAP``.
     """
+    r = cfg.rank
+    if r > ISO_RANK_CAP:
+        raise RankTooLarge(f"rank {r} exceeds algebraic search cap {ISO_RANK_CAP}")
+    a, b, t, c = cfg.tensor.arrays()
+    owner = np.concatenate((a, b, t))
+    order = np.argsort(owner, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(owner.size) - np.searchsorted(owner[order], owner[order])
+    role = np.repeat(np.arange(3), c.size)
+    one, two = np.concatenate((b, a, a)), np.concatenate((t, t, b))
+    count = np.tile(c, 3)
+    scale = int(c.max()) + 1
+
+    def codes(cells, m):
+        out = np.zeros((r, int(slot.max()) + 1), dtype=np.int64)
+        out[owner, slot] = ((role * m + cells[one]) * m + cells[two]) * scale + count
+        return out
+
+    diagonal = np.isin(np.arange(r), cfg.diagonal_colors)
+    _, root = np.unique(cfg.valencies * 2 + diagonal, return_inverse=True)
+    return permgroup.equitable_refinement(codes), root.ravel()
+
+
+def algebraic_automorphism_group(cfg):
+    """AAut(cfg), the tensor-preserving color permutations, as a
+    ``PermutationGroup`` on the colors, found by individualization-refinement
+    on the tensor; every generator is checked by ``ColorBijection.is_valid``."""
+    return permgroup.search_group(
+        *_colors(cfg), lambda f: ColorBijection(cfg, cfg, tuple(f.tolist())).is_valid())
+
+
+def algebraic_isomorphism(cfg1, cfg2):
+    """One tensor-preserving color bijection cfg1 -> cfg2, or None.
+
+    Degrees must match; a rank mismatch yields None.  Every algebraic
+    isomorphism is this one followed by an element of AAut(cfg2)."""
     if cfg1.n != cfg2.n:
         raise ValueError(f"degree mismatch: {cfg1.n} vs {cfg2.n}")
     if cfg1.rank != cfg2.rank:
-        return []
-    r = cfg1.rank
-    if r > max_rank:
-        raise RankTooLarge(f"rank {r} exceeds enumeration cap {max_rank}")
-    T1 = cfg1.tensor.as_array(max_rank)
-    T2 = cfg2.tensor.as_array(max_rank)
-
-    diag1 = np.zeros(r, dtype=bool)
-    diag1[list(cfg1.diagonal_colors)] = True
-    diag2 = np.zeros(r, dtype=bool)
-    diag2[list(cfg2.diagonal_colors)] = True
-    selfstar1 = cfg1.star == np.arange(r)
-    selfstar2 = cfg2.star == np.arange(r)
-    cand = (diag1[:, None] == diag2[None, :]) \
-        & (cfg1.valencies[:, None] == cfg2.valencies[None, :]) \
-        & (selfstar1[:, None] == selfstar2[None, :])
-
-    results = []
-
-    def extend(depth, cand, image):
-        if depth == r:
-            bij = ColorBijection(cfg1, cfg2, tuple(image))
-            if bij.is_valid():
-                results.append(bij)
-            return
-        a = depth
-        for a2 in np.flatnonzero(cand[a]):
-            a2 = int(a2)
-            new = cand.copy()
-            new[a, :] = False
-            new[:, a2] = False
-            new[a, a2] = True
-            ok = True
-            for b in range(depth + 1):
-                b2 = image[b] if b < depth else a2
-                for V1, V2 in (
-                        (T1[a, b], T2[a2, b2]), (T1[b, a], T2[b2, a2]),
-                        (T1[a, :, b], T2[a2, :, b2]), (T1[b, :, a], T2[b2, :, a2]),
-                        (T1[:, a, b], T2[:, a2, b2]), (T1[:, b, a], T2[:, b2, a2])):
-                    new &= V1[:, None] == V2[None, :]
-                if not (new.any(axis=1).all() and new.any(axis=0).all()):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[a] = a2
-            extend(depth + 1, new, image)
-            image[a] = -1
-
-    extend(0, cand, [-1] * r)
-    return results
+        return None
+    f = permgroup.search_map(
+        _colors(cfg1), _colors(cfg2),
+        lambda f: ColorBijection(cfg1, cfg2, tuple(f.tolist())).is_valid())
+    return None if f is None else ColorBijection(cfg1, cfg2, tuple(f.tolist()))
 
 
-def realization(phi, node_cap=permgroup.SEARCH_NODE_CAP):
+def realization(phi):
     """A point bijection inducing the color bijection phi, or None."""
-    found = permgroup.search_color_isomorphisms(
-        phi.source, phi.target, np.asarray(phi.mapping), node_cap=node_cap)
-    return found[0] if found else None
+    f = permgroup.point_isomorphism(
+        np.asarray(phi.mapping)[phi.source.colors], phi.target.colors)
+    return None if f is None else tuple(f.tolist())
 
 
 def is_schurian(cfg):
@@ -149,22 +145,26 @@ def is_schurian(cfg):
     return cc_core.same_partition(permgroup.orbital_scheme(G), cfg)
 
 
-def is_separable_desk(cfg, others=(), max_rank=ISO_RANK_CAP):
+def is_separable_desk(cfg, others=()):
     """Desk-scale separability: every algebraic automorphism (and every
     algebraic isomorphism onto each explicitly supplied target) is induced
     by a point bijection.
 
-    This is the self-target fragment of separability; the universal
-    quantifier over all targets is not decidable here and output labels the
-    scope accordingly.
+    The induced automorphisms form a subgroup of AAut(cfg), so realizing
+    the generators decides the first part; the maps onto a target are one
+    map phi_0 composed with AAut(cfg), so realizing phi_0 decides the rest
+    (Evdokimov and Ponomarenko, "Separability number and schurity number of
+    coherent configurations", 2000).  This is the self-target fragment of
+    separability; the universal quantifier over all targets is not
+    decidable here and output labels the scope accordingly.
     """
-    for phi in algebraic_isomorphisms(cfg, cfg, max_rank):
-        if realization(phi) is None:
-            return False
+    G = algebraic_automorphism_group(cfg)
+    if any(realization(ColorBijection(cfg, cfg, g)) is None for g in G.generators):
+        return False
     for other in others:
-        for phi in algebraic_isomorphisms(cfg, other, max_rank):
-            if realization(phi) is None:
-                return False
+        phi = algebraic_isomorphism(cfg, other)
+        if phi is not None and realization(phi) is None:
+            return False
     return True
 
 
@@ -232,7 +232,7 @@ def algebraic_fusion(cfg, group):
     return fuse(cfg, partition)
 
 
-def t_condition(cfg, t, point_cap=T_CONDITION_POINT_CAP):
+def t_condition(cfg, t):
     """Per-relation verdicts of the t-condition, t in {3, 4}.
 
     For each basis relation s and each k <= t, the counts of k-subset types
@@ -263,8 +263,8 @@ def t_condition(cfg, t, point_cap=T_CONDITION_POINT_CAP):
     if t not in (3, 4):
         raise ValueError("t must be 3 or 4")
     n = cfg.n
-    if n > point_cap:
-        raise TooLarge(f"degree {n} exceeds t-condition cap {point_cap}")
+    if n > T_CONDITION_POINT_CAP:
+        raise TooLarge(f"degree {n} exceeds t-condition cap {T_CONDITION_POINT_CAP}")
     r = cfg.rank
     C = cfg.colors
     flat = C.ravel()

@@ -19,9 +19,8 @@ Conventions:
   counts.  One-point extensions of a scheme on n points have rank comparable
   to n^2/4, which neither a dense R^3 array nor one Python dict per (r, s)
   can accommodate (R <= n^2 <= 250000 keeps R^3 inside int64).  Callers read
-  it through ``IntersectionTensor``: single entries, ``products`` slices,
-  the coordinate arrays ``arrays()``, and a dense view for small ranks via
-  ``as_array``.
+  it through ``IntersectionTensor``: single entries, ``products`` slices
+  and the coordinate arrays ``arrays()``.
 * S3 and the Weisfeiler-Leman closure share one kernel: the sorted
   composition codes color(a,b)*r + color(b,g) of one row of pairs
   (``_row_signatures``), checked class by class against the signature of
@@ -39,7 +38,6 @@ from .errors import (
     AxiomS3Violated,
     BadRelationId,
     NotAScheme,
-    TooLarge,
 )
 
 
@@ -111,14 +109,6 @@ class IntersectionTensor:
         rs, t = np.divmod(self._keys, R)
         r, s = np.divmod(rs, R)
         return r, s, t, self._counts
-
-    def as_array(self, max_rank=150):
-        """Dense (r, r, r) int array; refuses for large ranks."""
-        if self.rank > max_rank:
-            raise TooLarge(f"rank {self.rank} exceeds dense-tensor cap {max_rank}")
-        arr = np.zeros((self.rank,) * 3, dtype=np.int64)
-        arr.ravel()[self._keys] = self._counts
-        return arr
 
 
 class CoherentConfig:

@@ -301,7 +301,7 @@ def cyclotomic_scheme(field, subgroup_order):
     return cc_core.validate_config(colors)
 
 
-def frobenius_example_group(q, n, point_cap=POINT_CAP):
+def frobenius_example_group(q, n):
     """The Frobenius group G = H<sigma> of the non-abelian family, acting on
     the unitriangular group H = {A(a, b)} over GF(q^n); sigma maps A(a, b)
     to A(ca, c^(1+q)b).
@@ -314,8 +314,8 @@ def frobenius_example_group(q, n, point_cap=POINT_CAP):
         raise ValueError("n must be an odd integer > 1")
     big = q ** n
     degree = big * big
-    if degree > point_cap:
-        raise TooLarge(f"degree {degree} exceeds cap {point_cap}")
+    if degree > POINT_CAP:
+        raise TooLarge(f"degree {degree} exceeds cap {POINT_CAP}")
     field = FiniteField(p, e * n)
 
     def point(a, b):
@@ -351,21 +351,21 @@ def frobenius_example_group(q, n, point_cap=POINT_CAP):
     return G
 
 
-def frobenius_example_scheme(q, n, point_cap=POINT_CAP):
+def frobenius_example_scheme(q, n):
     """Orbital scheme of the non-abelian Frobenius family: degree q^(2n),
     rank q^(n+1) - q^n + q, valency (q^n - 1)/(q - 1)."""
-    return permgroup.orbital_scheme(frobenius_example_group(q, n, point_cap))
+    return permgroup.orbital_scheme(frobenius_example_group(q, n))
 
 
-def affine_scheme(dim, q, point_cap=POINT_CAP):
+def affine_scheme(dim, q):
     """Scheme of AG(dim, q): pairs are colored by the projective direction
     of beta - alpha.  Rank 1 + (q^dim - 1)/(q - 1), valency q - 1."""
     if dim < 2:
         raise ValueError("dimension must be >= 2")
     p, e = factor_prime_power(q)
     npoints = q ** dim
-    if npoints > point_cap:
-        raise TooLarge(f"{npoints} points exceeds cap {point_cap}")
+    if npoints > POINT_CAP:
+        raise TooLarge(f"{npoints} points exceeds cap {POINT_CAP}")
     field = FiniteField(p, e)
     coords = np.empty((npoints, dim), dtype=np.int64)
     vals = np.arange(npoints)
@@ -455,15 +455,15 @@ def affine_plane_from_lines(n_points, lines):
     return cc_core.validate_config(colors)
 
 
-def passman_scheme(q, point_cap=POINT_CAP):
+def passman_scheme(q):
     """Orbital scheme of the Passman group on GF(q)^2 (q odd): maps
     (x, y) -> (ax + b, ±a^{-1}y + c) and (x, y) -> (ay + b, ±a^{-1}x + c).
     Degree q^2, valency 2(q - 1)."""
     p, e = factor_prime_power(q)
     if p == 2:
         raise ValueError("q must be odd")
-    if q * q > point_cap:
-        raise TooLarge(f"degree {q * q} exceeds cap {point_cap}")
+    if q * q > POINT_CAP:
+        raise TooLarge(f"degree {q * q} exceeds cap {POINT_CAP}")
     field = FiniteField(p, e)
 
     def pt(x, y):

@@ -169,15 +169,6 @@ def _matchings(blocks):
     return order.transpose(0, 2, 1)
 
 
-def _block_matchings(cfg, au, aw):
-    """The relations of a block as dicts x -> y in ascending color order;
-    they must be perfect matchings, which holds whenever |u*w| equals the
-    valency."""
-    au, aw = np.asarray(au), np.asarray(aw)
-    perms = _matchings(_blocks(cfg.colors, au[None], aw[None])[0])[0]
-    return [dict(zip(au.tolist(), aw[p].tolist())) for p in perms]
-
-
 def point_partition(cfg, alpha, u, v):
     """The nonempty sets s ∩ (alpha·u x alpha·v) for s in u*v, as lists of
     point pairs; their union is the whole block."""

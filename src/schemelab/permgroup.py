@@ -1,6 +1,7 @@
 """Permutation groups on 0..n-1 held by a base and strong generating set,
-orbital configurations, the Frobenius test, and color-preserving
-automorphism and isomorphism search by individualization-refinement.
+orbital configurations, the Frobenius test, and the
+individualization-refinement search for groups and maps, with its point
+users: color-preserving automorphisms and isomorphisms.
 
 Permutations are plain tuples in image notation: ``p[i]`` is the image of
 point ``i``.  A ``PermutationGroup`` keeps its generators and a base with a
@@ -10,17 +11,21 @@ chain, so no group is ever listed element by element (Seress, *Permutation
 Group Algorithms*, 2003).
 
 The searches follow McKay and Piperno, "Practical graph isomorphism, II"
-(2014).  A node of the search tree is a partition of the points, refined
-until equitable after each point is individualized; its table of distinct
-refinement rows does not depend on point labels and is the node invariant.
-The first path individualizes the first point of the first non-singleton
-cell down to a discrete leaf; the individualized points form the base.
-Every other leaf yields a candidate bijection, which is accepted only after
-an exact check against the full color matrix.
+(2014), on any finite domain 0..n-1: points here, colors in ``analysis``.
+A node of the search tree is a partition of the domain, refined after each
+element is individualized by a callable ``refine(cells) -> (cells, table)``
+that must not depend on labels: refining the image of a partition under a
+map the search looks for gives the image cells and the same table, which
+is the node invariant.  The first path individualizes the first element of
+the first non-singleton cell down to a discrete leaf; the individualized
+elements form the base.  Every other leaf yields a candidate bijection,
+which is kept only if an exact ``accept(f)`` check holds; for points it
+compares the full color matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -297,73 +302,72 @@ def is_frobenius(G):
     return all(len(orb) == H.order for orb in H.orbits() if orb != (0,))
 
 
-def fixed_points(g):
-    return [i for i, gi in enumerate(g) if gi == i]
-
-
 def point_stabilizer_orbits(G, alpha):
     """Orbits of the point stabilizer G_alpha, as sorted tuples."""
     return G.stabilizer(alpha).orbits()
 
 
-class _Budget:
-    """Counts refined search nodes against a cap."""
+def _budget():
+    """Wraps refinements so that together they refine at most
+    ``SEARCH_NODE_CAP`` nodes, the value at the time of this call."""
+    cap, nodes = SEARCH_NODE_CAP, itertools.count(1)
 
-    def __init__(self, cap):
-        self.cap = cap
-        self.nodes = 0
-
-    def refine(self, colors, cells):
-        self.nodes += 1
-        if self.nodes > self.cap:
-            raise SearchBudgetExceeded(f"node cap {self.cap} exceeded")
-        return _refine(colors, cells)
+    def counted(refine):
+        def node(cells):
+            if next(nodes) > cap:
+                raise SearchBudgetExceeded(f"node cap {cap} exceeded")
+            return refine(cells)
+        return node
+    return counted
 
 
-def _refine(colors, cells):
-    """The equitable refinement of a partition of the points.
+def equitable_refinement(codes):
+    """The refinement ``refine(cells) -> (cells, table)`` by code rows.
 
-    ``cells`` holds dense cell ids 0..m-1.  Each round, point x gets the id
-    of the row [cells[x], sorted(colors[x, :] * m + cells)] among the sorted
-    distinct rows, until the number of cells stops changing.  Rows suffice:
-    in a coherent configuration colors[y, x] is the star of colors[x, y].
-    Rows are sorted as big-endian bytes, which is their order as integer
-    sequences, so refined cells keep the order of the cells they split.
-    Returns the cells and the final table of distinct rows; neither depends
-    on point labels.
+    ``cells`` holds dense cell ids 0..m-1, and ``codes(cells, m)`` gives one
+    row of non-negative integer codes per element.  Each round, element x
+    gets the id of the row [cells[x], sorted codes of x] among the sorted
+    distinct rows, until the number of cells stops changing.  Rows are
+    sorted as big-endian bytes, which is their order as integer sequences,
+    so refined cells keep the order of the cells they split.  Returns the
+    cells and the final table of distinct rows; neither depends on labels
+    when the codes do not.
     """
-    n = cells.size
-    m = int(cells.max()) + 1
-    row = np.dtype((np.void, 8 * (n + 1)))
-    while True:
-        rows = np.empty((n, n + 1), dtype=">i8")
-        rows[:, 0] = cells
-        codes = colors * m + cells
-        codes.sort(axis=1)
-        rows[:, 1:] = codes
-        _, first, new = np.unique(rows.view(row).ravel(), return_index=True,
-                                  return_inverse=True)
-        if first.size == m:
-            return cells, rows[first]
-        cells, m = new.ravel(), first.size
+    def refine(cells):
+        m = int(cells.max()) + 1
+        while True:
+            coded = codes(cells, m)
+            coded.sort(axis=1)
+            rows = np.empty((coded.shape[0], coded.shape[1] + 1), dtype=">i8")
+            rows[:, 0] = cells
+            rows[:, 1:] = coded
+            _, first, new = np.unique(
+                rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
+                return_index=True, return_inverse=True)
+            if first.size == m:
+                return cells, rows[first]
+            cells, m = new.ravel(), first.size
+    return refine
+
+
+def _points(colors):
+    """The refinement of the points by their rows of colors, and its root
+    partition: the points by their diagonal colors.  Rows suffice: in a
+    coherent configuration colors[y, x] is the star of colors[x, y]."""
+    _, root = np.unique(colors.diagonal(), return_inverse=True)
+    return equitable_refinement(lambda cells, m: colors * m + cells), root.ravel()
 
 
 def _individualize(cells, v, m):
-    """Move point v of a partition with m cells into a new last cell."""
+    """Move element v of a partition with m cells into a new last cell."""
     cells = cells.copy()
     cells[v] = m
     return cells
 
 
-def _root(colors, budget):
-    """The refined partition of the points by their diagonal colors."""
-    _, cells = np.unique(colors.diagonal(), return_inverse=True)
-    return budget.refine(colors, cells.ravel())
-
-
-def _first_path(colors, budget):
+def _first_path(refine, root):
     """The nodes (cells, table) of the first path and its base."""
-    path = [_root(colors, budget)]
+    path = [refine(root)]
     base = []
     while True:
         cells, table = path[-1]
@@ -372,80 +376,50 @@ def _first_path(colors, budget):
             return path, base
         v = int(np.flatnonzero(cells == split[0])[0])
         base.append(v)
-        path.append(budget.refine(colors, _individualize(cells, v, len(table))))
+        path.append(refine(_individualize(cells, v, len(table))))
 
 
-def _leaves(colors, path, base, cells, depth, budget, choices=None):
+def _leaves(refine, path, base, cells, depth, choices=None):
     """The discrete leaves below a node at ``depth`` whose tables equal the
-    first path's at every depth, in point order, as (leaf cells, the points
-    individualized below the node).  At each depth the branching runs over
-    the cell holding the first path's base point; ``choices`` replaces the
-    first branching."""
+    first path's at every depth, in element order, as (leaf cells, the
+    elements individualized below the node).  At each depth the branching
+    runs over the cell holding the first path's base element; ``choices``
+    replaces the first branching."""
     if depth == len(base):
         yield cells, []
         return
     if choices is None:
         choices = np.flatnonzero(cells == path[depth][0][base[depth]]).tolist()
     for w in choices:
-        child, table = budget.refine(
-            colors, _individualize(cells, w, len(path[depth][1])))
+        child, table = refine(_individualize(cells, w, len(path[depth][1])))
         if np.array_equal(table, path[depth + 1][1]):
-            for leaf, points in _leaves(colors, path, base, child, depth + 1,
-                                        budget):
+            for leaf, points in _leaves(refine, path, base, child, depth + 1):
                 yield leaf, [w] + points
 
 
 def _leaf_map(first_leaf, leaf):
-    """The bijection sending the point of each cell id in ``first_leaf`` to
-    the point of the same id in ``leaf``."""
+    """The bijection sending the element of each cell id in ``first_leaf``
+    to the element of the same id in ``leaf``."""
     points = np.empty_like(leaf)
     points[leaf] = np.arange(leaf.size)
     return points[first_leaf]
 
 
-def search_color_isomorphisms(src_cfg, dst_cfg, color_map, *,
-                              node_cap=SEARCH_NODE_CAP):
-    """A point bijection f with dst_color(f(a), f(b)) = color_map[src_color(a, b)],
-    as a one-element list, or [] when there is none.
-
-    The source, with its colors mapped, is refined along its first path; the
-    target branches over the cell with the same id at each depth, and each
-    leaf bijection is checked exactly.  Deterministic by construction.
-    """
-    n = src_cfg.n
-    if dst_cfg.n != n:
-        return []
-    dst = dst_cfg.colors
-    mapped = np.asarray(color_map, dtype=np.int64)[src_cfg.colors]
-    budget = _Budget(node_cap)
-    path, base = _first_path(mapped, budget)
-    cells, table = _root(dst, budget)
-    if not np.array_equal(table, path[0][1]):
-        return []
-    for leaf, _ in _leaves(dst, path, base, cells, 0, budget):
-        f = _leaf_map(path[-1][0], leaf)
-        if np.array_equal(dst[np.ix_(f, f)], mapped):
-            return [tuple(f.tolist())]
-    return []
-
-
-def automorphism_group(cfg, *, point_cap=AUT_POINT_CAP, node_cap=SEARCH_NODE_CAP):
-    """Aut(Omega, S), the permutations preserving every color, as a BSGS.
+def search_group(refine, root, accept):
+    """The group of the permutations f of the elements of ``root`` with
+    accept(f), as a BSGS.
 
     Levels of the first path are searched from the deepest up.  At level i,
-    each point w of the base point's cell outside the orbit of the
-    generators found so far (all of which fix the earlier base points) is
+    each element w of the base element's cell outside the orbit of the
+    generators found so far (all of which fix the earlier base elements) is
     tried: a leaf below w whose bijection maps the first path onto its own
-    and preserves every color is a new generator.  When no such leaf exists,
-    the orbit of w is skipped too.  The generators are a strong generating
-    set for the base, so |Aut| is the product of the basic orbit sizes; the
+    and is accepted is a new generator.  When no such leaf exists, the
+    orbit of w is skipped too.  The generators are a strong generating set
+    for the base, so the order is the product of the basic orbit sizes; the
     Schreier-Sims order of the result must agree.
     """
-    if cfg.n > point_cap:
-        raise TooLarge(f"degree {cfg.n} exceeds automorphism-search cap {point_cap}")
-    colors = cfg.colors
-    budget = _Budget(node_cap)
-    path, base = _first_path(colors, budget)
+    refine = _budget()(refine)
+    path, base = _first_path(refine, root)
     gens = []
     order = 1
     for i in reversed(range(len(base))):
@@ -455,19 +429,57 @@ def automorphism_group(cfg, *, point_cap=AUT_POINT_CAP, node_cap=SEARCH_NODE_CAP
         for w in np.flatnonzero(cells == cells[base[i]]).tolist():
             if w in orbit or w in failed:
                 continue
-            for leaf, points in _leaves(colors, path, base, cells, i, budget,
+            for leaf, points in _leaves(refine, path, base, cells, i,
                                         choices=[w]):
                 f = _leaf_map(path[-1][0], leaf)
-                if f[base].tolist() == base[:i] + points \
-                        and np.array_equal(colors[np.ix_(f, f)], colors):
+                if f[base].tolist() == base[:i] + points and accept(f):
                     gens.append(f)
                     orbit = _orbit(base[i], gens)
                     break
             else:
                 failed |= _orbit(w, gens)
         order *= len(orbit)
-    G = PermutationGroup(cfg.n, gens, base=base)
+    G = PermutationGroup(root.size, gens, base=base)
     if G.order != order:
         raise ValidationFailed(
             f"search order {order} differs from Schreier-Sims order {G.order}")
     return G
+
+
+def search_map(source, target, accept):
+    """One bijection f from the source's elements to the target's with
+    accept(f), as an index array, or None.
+
+    ``source`` and ``target`` are (refine, root) pairs.  The source is
+    refined along its first path; the target branches over the cell with
+    the same id at each depth, and each leaf bijection is checked exactly.
+    """
+    counted = _budget()
+    path, base = _first_path(counted(source[0]), source[1])
+    refine = counted(target[0])
+    cells, table = refine(target[1])
+    if not np.array_equal(table, path[0][1]):
+        return None
+    for leaf, _ in _leaves(refine, path, base, cells, 0):
+        f = _leaf_map(path[-1][0], leaf)
+        if accept(f):
+            return f
+    return None
+
+
+def point_isomorphism(colors, target):
+    """A point bijection f with target[f(a), f(b)] = colors[a, b] for all
+    points a, b, as an index array, or None."""
+    if colors.shape != target.shape:
+        return None
+    return search_map(_points(colors), _points(target),
+                      lambda f: np.array_equal(target[np.ix_(f, f)], colors))
+
+
+def automorphism_group(cfg):
+    """Aut(Omega, S), the permutations preserving every color, as a BSGS."""
+    if cfg.n > AUT_POINT_CAP:
+        raise TooLarge(f"degree {cfg.n} exceeds automorphism-search cap {AUT_POINT_CAP}")
+    colors = cfg.colors
+    return search_group(*_points(colors),
+                        lambda f: np.array_equal(colors[np.ix_(f, f)], colors))

@@ -418,3 +418,89 @@ def central_idempotents_naive(cfg, seed=0, tol=1e-8):
     rest = sorted((i for i in range(d) if i != p0),
                   key=lambda i: (blocks[i][1], blocks[i][0], i))
     return [blocks[i] for i in [p0] + rest]
+
+
+def dense_tensor(T):
+    """The intersection tensor as a dense (r, r, r) int array."""
+    arr = np.zeros((T.rank,) * 3, dtype=np.int64)
+    a, b, t, c = T.arrays()
+    arr[a, b, t] = c
+    return arr
+
+
+def algebraic_isomorphisms(cfg1, cfg2):
+    """Every tensor-preserving color bijection cfg1 -> cfg2, as
+    ``ColorBijection``s, by backtracking over color maps with candidate
+    filtering by the structure vectors of every assigned pair; each full map
+    is checked on the dense tensors.  Degrees must match; a rank mismatch
+    yields the empty list."""
+    from schemelab.analysis import ColorBijection
+
+    if cfg1.n != cfg2.n:
+        raise ValueError(f"degree mismatch: {cfg1.n} vs {cfg2.n}")
+    if cfg1.rank != cfg2.rank:
+        return []
+    r = cfg1.rank
+    T1 = dense_tensor(cfg1.tensor)
+    T2 = dense_tensor(cfg2.tensor)
+
+    diag1 = np.zeros(r, dtype=bool)
+    diag1[list(cfg1.diagonal_colors)] = True
+    diag2 = np.zeros(r, dtype=bool)
+    diag2[list(cfg2.diagonal_colors)] = True
+    selfstar1 = cfg1.star == np.arange(r)
+    selfstar2 = cfg2.star == np.arange(r)
+    cand = (diag1[:, None] == diag2[None, :]) \
+        & (cfg1.valencies[:, None] == cfg2.valencies[None, :]) \
+        & (selfstar1[:, None] == selfstar2[None, :])
+
+    results = []
+
+    def extend(depth, cand, image):
+        if depth == r:
+            m = np.asarray(image)
+            if np.array_equal(T2[np.ix_(m, m, m)], T1):
+                results.append(ColorBijection(cfg1, cfg2, tuple(image)))
+            return
+        a = depth
+        for a2 in np.flatnonzero(cand[a]):
+            a2 = int(a2)
+            new = cand.copy()
+            new[a, :] = False
+            new[:, a2] = False
+            new[a, a2] = True
+            ok = True
+            for b in range(depth + 1):
+                b2 = image[b] if b < depth else a2
+                for V1, V2 in (
+                        (T1[a, b], T2[a2, b2]), (T1[b, a], T2[b2, a2]),
+                        (T1[a, :, b], T2[a2, :, b2]), (T1[b, :, a], T2[b2, :, a2]),
+                        (T1[:, a, b], T2[:, a2, b2]), (T1[:, b, a], T2[:, b2, a2])):
+                    new &= V1[:, None] == V2[None, :]
+                if not (new.any(axis=1).all() and new.any(axis=0).all()):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            image[a] = a2
+            extend(depth + 1, new, image)
+            image[a] = -1
+
+    extend(0, cand, [-1] * r)
+    return results
+
+
+def block_matchings(cfg, au, aw):
+    """The relations of the block au x aw as dicts x -> y in ascending
+    color order, each checked to be a perfect matching."""
+    block = cfg.colors[np.ix_(au, aw)]
+    out = []
+    for s in np.unique(block):
+        hits = block == s
+        assert (hits.sum(axis=0) == 1).all() and (hits.sum(axis=1) == 1).all()
+        out.append({int(au[i]): int(aw[j]) for i, j in np.argwhere(hits)})
+    return out
+
+
+def fixed_points(g):
+    return [i for i, gi in enumerate(g) if gi == i]

@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+import oracles
 from schemelab import (
     analysis,
     cc_core,
@@ -162,8 +163,8 @@ def test_criterion_5_extension_structure(ag33, c67k2):
                             for b in wv:
                                 assert len(cc_core.complex_product(cfg, a, b) & uv) == 1
                         aw = tuple(int(x) for x in cfg.neighbors(alpha, w))
-                        left = extension._block_matchings(cfg, au, aw)
-                        right = extension._block_matchings(cfg, aw, av)
+                        left = oracles.block_matchings(cfg, au, aw)
+                        right = oracles.block_matchings(cfg, aw, av)
                         parts = {tuple(sorted((x, m2[m1[x]]) for x in m1))
                                  for m1 in left for m2 in right}
                         assert len(parts) == k

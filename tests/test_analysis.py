@@ -1,13 +1,14 @@
 """Algebraic isomorphisms, schurity/separability, fusions, t-condition,
 affine recognition, designs."""
 
+import os
 import time
 
 import numpy as np
 import pytest
 
 import oracles
-from schemelab import analysis, cc_core, constructors, extension, permgroup
+from schemelab import analysis, cc_core, cli, constructors, extension, permgroup
 from schemelab.analysis import ColorBijection
 from schemelab.errors import (
     NotAnAlgebraicAutomorphism,
@@ -15,6 +16,9 @@ from schemelab.errors import (
     RankTooLarge,
     ValencyTooSmall,
 )
+
+HALL_PLANE_FILE = os.path.join(os.path.dirname(__file__), "data",
+                               "hall_plane_order9.txt")
 
 
 def _induced_color_map(cfg, point_map):
@@ -26,29 +30,35 @@ def _induced_color_map(cfg, point_map):
 
 
 def test_algebraic_isomorphisms_ag23_amorphic(ag23):
-    isos = analysis.algebraic_isomorphisms(ag23, ag23)
+    G = analysis.algebraic_automorphism_group(ag23)
+    isos = oracles.algebraic_isomorphisms(ag23, ag23)
     # amorphic equivalenced scheme: algebraic automorphisms form the full
     # symmetric group on the 4 direction classes
-    assert len(isos) == 24
-    mappings = {phi.mapping for phi in isos}
-    assert all(m[0] == 0 for m in mappings)
-    assert all(phi.is_valid() for phi in isos)
+    assert G.order == len(isos) == 24
+    assert G.orbit(0) == [0]
+    assert all(phi.mapping in G and phi.mapping[0] == 0 for phi in isos)
+    assert all(ColorBijection(ag23, ag23, g).is_valid() for g in G.generators)
 
 
 def test_algebraic_isomorphisms_z3(z3):
-    isos = analysis.algebraic_isomorphisms(z3, z3)
+    G = analysis.algebraic_automorphism_group(z3)
+    isos = oracles.algebraic_isomorphisms(z3, z3)
     assert {phi.mapping for phi in isos} == {(0, 1, 2), (0, 2, 1)}
+    assert G.order == 2 and all(phi.mapping in G for phi in isos)
 
 
 def test_algebraic_isomorphisms_mismatches(z3, ag23):
     with pytest.raises(ValueError):
-        analysis.algebraic_isomorphisms(z3, ag23)
+        analysis.algebraic_isomorphism(z3, ag23)
     paley5 = constructors.cyclotomic_scheme(constructors.FiniteField(5), 2)
     rank2 = cc_core.validate_config(np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
-    assert analysis.algebraic_isomorphisms(paley5, rank2) == []
-    big = constructors.cyclotomic_scheme(constructors.FiniteField(67), 2)
+    assert analysis.algebraic_isomorphism(paley5, rank2) is None
+    discrete = cc_core.validate_config(np.arange(15 * 15).reshape(15, 15))
+    assert discrete.rank == 225 > analysis.ISO_RANK_CAP
     with pytest.raises(RankTooLarge):
-        analysis.algebraic_isomorphisms(big, big, max_rank=20)
+        analysis.algebraic_isomorphism(discrete, discrete)
+    with pytest.raises(RankTooLarge):
+        analysis.algebraic_automorphism_group(discrete)
 
 
 def test_color_bijection_validity_is_tensor_equality(z3):
@@ -94,11 +104,69 @@ def test_separability_fails_on_shrikhande_against_rook_graph():
 
     rook = srg(lambda da, db: (da == 0) != (db == 0))
     shrikhande = srg(lambda da, db: (da, db) in {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
-    phis = analysis.algebraic_isomorphisms(rook, shrikhande)
+    phis = oracles.algebraic_isomorphisms(rook, shrikhande)
     assert phis
     assert all(analysis.realization(phi) is None for phi in phis)
+    phi0 = analysis.algebraic_isomorphism(rook, shrikhande)
+    assert phi0 is not None and phi0.is_valid()
+    assert analysis.realization(phi0) is None
     assert not analysis.is_separable_desk(rook, others=(shrikhande,))
     assert analysis.is_separable_desk(rook) and analysis.is_separable_desk(shrikhande)
+
+
+def _enumeration_cases(corpus):
+    """Every corpus scheme but AG(3,3) (14 s to enumerate), the AG(2,4)
+    fusions, every third AG(2,5) fusion and a configuration with several
+    fibers."""
+    cases = [(name, cfg) for name, cfg in corpus.items() if name != "ag-3-3"]
+    cases += [(f"AG(2,4) fusion {i}", cfg)
+              for i, cfg in enumerate(_affine_plane_fusions(4))]
+    cases += [(f"AG(2,5) fusion {i}", cfg)
+              for i, cfg in enumerate(_affine_plane_fusions(5)) if i % 3 == 0]
+    cases.append(("paley-5 at 0", extension.coherent_closure(corpus["paley-5"], {0})))
+    return cases
+
+
+def test_algebraic_automorphism_group_matches_enumeration(corpus):
+    # the group has one element per enumerated map, every map is a member,
+    # and separability holds exactly when every map is realized
+    answers = []
+    for name, cfg in _enumeration_cases(corpus):
+        G = analysis.algebraic_automorphism_group(cfg)
+        maps = oracles.algebraic_isomorphisms(cfg, cfg)
+        assert G.order == len(maps), name
+        assert all(phi.mapping in G for phi in maps), name
+        realized = all(analysis.realization(phi) is not None for phi in maps)
+        assert analysis.is_separable_desk(cfg) == realized, name
+        answers.append(realized)
+    assert len(answers) == 15 + 51 + 68 and set(answers) == {True, False}
+
+
+def test_algebraic_automorphism_group_ag33(ag33):
+    # the 13 parallel classes of AG(3,3) are the points of PG(2,3), and the
+    # algebraic automorphisms act on them as PGL(3,3)
+    G = analysis.algebraic_automorphism_group(ag33)
+    assert G.order == 5616 and len(G.generators) == 7
+    assert all(ColorBijection(ag33, ag33, g).is_valid() for g in G.generators)
+
+
+def test_separability_boundaries(corpus):
+    # the Hall plane of order 9 has 10! algebraic automorphisms; AG(2,7) has
+    # 8!, of which the collineations induce 336 (PGL(2,7) on the 8
+    # directions); all 5! of AG(2,4) are induced (PGL(2,4) = S5); c199k3
+    # has rank 67
+    n_points, lines = cli._load_plane_lines(HALL_PLANE_FILE)
+    hall = constructors.affine_plane_from_lines(n_points, lines)
+    c199k3 = constructors.cyclotomic_scheme(constructors.FiniteField(199), 3)
+    ag24 = corpus["ag-2-4"]
+    for cfg, separable in ((hall, False), (constructors.affine_scheme(2, 7), False),
+                           (ag24, True), (c199k3, True)):
+        start = time.perf_counter()
+        assert analysis.is_separable_desk(cfg) == separable, cfg
+        assert time.perf_counter() - start < 10.0, cfg
+    maps = oracles.algebraic_isomorphisms(ag24, ag24)
+    assert len(maps) == 120
+    assert all(analysis.realization(phi) is not None for phi in maps)
 
 
 def test_fuse_amorphic_instance(ag23):
@@ -144,9 +212,11 @@ def test_algebraic_fusion_cyclotomic(c13k3):
 def test_algebraic_fusion_trivial_and_full(ag23):
     same = analysis.algebraic_fusion(ag23, [ColorBijection.identity(ag23)])
     assert cc_core.same_partition(same, ag23)
-    isos = analysis.algebraic_isomorphisms(ag23, ag23)
+    isos = oracles.algebraic_isomorphisms(ag23, ag23)
     full = analysis.algebraic_fusion(ag23, isos)
     assert full.rank == 2
+    G = analysis.algebraic_automorphism_group(ag23)
+    assert cc_core.same_partition(analysis.algebraic_fusion(ag23, G.generators), full)
 
 
 def test_algebraic_fusion_rejects_non_automorphisms(z3):
@@ -377,9 +447,11 @@ def test_semiregular_extensions_imply_schurian_frobenius(corpus, ag33, c67k2):
 def test_amorphic_iso_group_transitive_implies_pseudocyclic(ag23):
     # equivalenced scheme whose algebraic automorphisms act transitively on
     # the non-diagonal classes is pseudocyclic
-    isos = analysis.algebraic_isomorphisms(ag23, ag23)
+    isos = oracles.algebraic_isomorphisms(ag23, ag23)
     images_of_1 = {phi(1) for phi in isos}
     assert images_of_1 == set(ag23.nondiagonal_colors)
+    G = analysis.algebraic_automorphism_group(ag23)
+    assert G.orbit(1) == list(ag23.nondiagonal_colors)
     assert cc_core.is_pseudocyclic_combinatorial(ag23) is not None
 
 
@@ -390,7 +462,9 @@ def test_tensor_equality_decides_paley_vs_z5_fusion():
     z5 = constructors.regular_scheme(constructors.cyclic_group_table(5))
     fused = analysis.fuse(z5, [(0,), (1, 4), (2, 3)])
     assert np.array_equal(fused.colors, paley5.colors)
-    assert analysis.algebraic_isomorphisms(paley5, fused)
+    assert oracles.algebraic_isomorphisms(paley5, fused)
+    phi = analysis.algebraic_isomorphism(paley5, fused)
+    assert phi is not None and phi.is_valid()
 
 
 def test_extend_algebraic_iso_composition_branch_distinct_points(c151k3):

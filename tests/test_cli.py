@@ -191,6 +191,16 @@ def test_check_properties(c67_file, ag23_file, tmp_path, capsys):
     assert code == 0 and "no" in out
 
 
+def test_check_separable_at_rank_67(tmp_path, capsys):
+    # c199k3 is inside the rank cap of the algebraic automorphism search
+    c199 = tmp_path / "c199k3.json"
+    run(capsys, "construct", "cyclotomic", "--p", "199", "--k-order", "3",
+        "-o", str(c199))
+    code, out, _ = run(capsys, "check", str(c199), "separable", "--json")
+    assert code == 0
+    assert json.loads(out)["separable_self_target"] is True
+
+
 def test_cap_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "hollman", "--q", "32",
                        "-o", str(tmp_path / "h.json"))

@@ -131,8 +131,8 @@ def test_block_partition_independent_of_splitting_relation(ag33, c67k2):
                 reference = None
                 for w in sorted(extension.splitting_set(cfg, u, v)):
                     aw = tuple(int(x) for x in cfg.neighbors(alpha, w))
-                    left = extension._block_matchings(cfg, au, aw)
-                    right = extension._block_matchings(cfg, aw, av)
+                    left = oracles.block_matchings(cfg, au, aw)
+                    right = oracles.block_matchings(cfg, aw, av)
                     parts = {tuple(sorted((x, b[a[x]]) for x in a))
                              for a in left for b in right}
                     assert len(parts) == k

@@ -135,7 +135,7 @@ def test_automorphism_fix_bound_on_schurian_pseudocyclic(corpus):
         e = permgroup.identity(G.n)
         for g in oracles.group_elements_naive(G.generators, G.n):
             if g != e:
-                assert len(permgroup.fixed_points(g)) <= k - 1, name
+                assert len(oracles.fixed_points(g)) <= k - 1, name
 
 
 def test_stabilizer_orbits_match_extension_fibers(corpus):
@@ -150,12 +150,21 @@ def test_stabilizer_orbits_match_extension_fibers(corpus):
         assert orbits == fibers, name
 
 
-def test_search_budget_and_point_cap(c13k3):
+def test_search_budget_and_point_cap(c13k3, monkeypatch):
     from schemelab.errors import SearchBudgetExceeded, TooLarge
-    with pytest.raises(SearchBudgetExceeded):
-        permgroup.automorphism_group(c13k3, node_cap=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(permgroup, "SEARCH_NODE_CAP", 3)
+        with pytest.raises(SearchBudgetExceeded):
+            permgroup.automorphism_group(c13k3)
+    big = cc_core.validate_config(1 - np.eye(201, dtype=int))
+    assert big.n == permgroup.AUT_POINT_CAP + 1
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("search started above the cap")
+
+    monkeypatch.setattr(permgroup, "search_group", no_search)
     with pytest.raises(TooLarge):
-        permgroup.automorphism_group(c13k3, point_cap=5)
+        permgroup.automorphism_group(big)
 
 
 def test_automorphisms_contain_group_heavier_members(frob23):
@@ -214,7 +223,7 @@ def _frobenius_by_elements(elements, n):
     points, read off an element list."""
     if {g[0] for g in elements} != set(range(n)) or len(elements) == n:
         return False
-    return all(len(permgroup.fixed_points(g)) <= 1
+    return all(len(oracles.fixed_points(g)) <= 1
                for g in elements if g != permgroup.identity(n))
 
 
