@@ -18,9 +18,11 @@ Conventions:
   int64 keys (r*R + s)*R + t of the nonzero c_{rs}^t, R the rank, and their
   counts.  One-point extensions of a scheme on n points have rank comparable
   to n^2/4, which neither a dense R^3 array nor one Python dict per (r, s)
-  can accommodate (R <= n^2 <= 250000 keeps R^3 inside int64).  Callers read
-  it through ``IntersectionTensor``: single entries, ``products`` slices
-  and the coordinate arrays ``arrays()``.
+  can accommodate.  The build packs key*(n+1) + count into one int64 and
+  sorts it in place, so R^3 (n+1) must stay below 2^63; every R <= n^2
+  with n <= 511 does, and a configuration past that range raises
+  ``TooLarge``.  Callers read it through ``IntersectionTensor``: single
+  entries, ``products`` slices and the coordinate arrays ``arrays()``.
 * S3 and the Weisfeiler-Leman closure share one kernel: the sorted
   composition codes color(a,b)*r + color(b,g) of one row of pairs
   (``_row_signatures``), checked class by class against the signature of
@@ -38,7 +40,10 @@ from .errors import (
     AxiomS3Violated,
     BadRelationId,
     NotAScheme,
+    TooLarge,
 )
+
+TENSOR_BUILD_CELLS = 1 << 16    # cells of ``ref`` packed per step of the tensor build
 
 
 def first_cells(ids):
@@ -325,6 +330,10 @@ def _checked_config(colors, r, ref=None):
     """Check S1, S2, fibers and valencies, then S3 unless ``ref`` already
     holds the verified reference signatures of every color."""
     n = colors.shape[0]
+    # The packed tensor build needs every key*(n+1) + count below 2^63.
+    if r ** 3 * (n + 1) >= 2 ** 63:
+        raise TooLarge(f"rank {r} on {n} points exceeds the tensor key range "
+                       "(rank^3 * (n + 1) must stay below 2^63)")
     # S1: a color that meets the diagonal must lie inside it.
     diag = colors.diagonal().copy()
     diag_counts = np.bincount(diag, minlength=r)
@@ -360,19 +369,17 @@ def _checked_config(colors, r, ref=None):
 
     # Valencies: |alpha·s| constant over the source fiber (a special case of
     # S3 with the triple (s, s*, 1_fiber), checked here for a sharper error).
-    rowcount = np.zeros((n, r), dtype=np.int64)
-    np.add.at(rowcount, (np.arange(n)[:, None], colors), 1)
-    source_point = np.array([f[0] for f in fibers])[relation_source]
-    valencies = rowcount[source_point, np.arange(r)]
-    off = (rowcount != valencies) & (point_fiber[:, None] == relation_source)
-    if off.any():
-        s = int(np.flatnonzero(off.any(axis=0))[0])
-        a0, bad = int(source_point[s]), int(np.flatnonzero(off[:, s])[0])
+    valencies, s = _source_valencies(colors, fibers, relation_source, total_counts)
+    if s is not None:
+        members = fibers[relation_source[s]]
+        column = np.count_nonzero(colors[members] == s, axis=1)
+        i = int(np.flatnonzero(column != valencies[s])[0])
+        a0, bad = int(members[0]), int(members[i])
         raise AxiomS3Violated(
             f"valency of color {s} differs between points {a0} and {bad}",
             triple=(s, int(star[s]), int(diag[a0])),
             pairs=((a0, a0), (bad, bad)),
-            counts=(int(valencies[s]), int(rowcount[bad, s])))
+            counts=(int(valencies[s]), int(column[i])))
 
     # S3 in full: the sorted composition-code multiset of (alpha, gamma) must
     # be identical for all pairs of each color.  References are pinned at the
@@ -400,18 +407,60 @@ def _checked_config(colors, r, ref=None):
                           relation_source, relation_target, valencies, tensor)
 
 
+def _row_runs(rows):
+    """The flat start and the length of every run of equal entries in the
+    rows of a row-sorted matrix."""
+    opens = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=opens[:, 1:])
+    starts = np.flatnonzero(opens)
+    return starts, np.diff(starts, append=rows.size)
+
+
+def _source_valencies(colors, fibers, relation_source, total_counts):
+    """valencies[s] = |alpha·s| at the first point alpha of the source fiber
+    of s, and the first color s whose count differs at some point of that
+    fiber, or None.
+
+    Counted as the runs of (point, color) in the row-sorted matrix: every
+    point of the fiber holds valencies[s] cells of s exactly when each
+    point holding one does and the total is the fiber size times that."""
+    by_row = np.sort(colors, axis=1)
+    starts, counts = _row_runs(by_row)
+    point, color = starts // colors.shape[1], by_row.ravel()[starts]
+    source_point = np.array([f[0] for f in fibers])[relation_source]
+    at_source = point == source_point[color]
+    valencies = np.zeros(total_counts.size, dtype=np.int64)
+    valencies[color[at_source]] = counts[at_source]
+    fiber_size = np.array([f.size for f in fibers])[relation_source]
+    off = total_counts != fiber_size * valencies
+    off[color[counts != valencies[color]]] = True
+    return valencies, int(np.flatnonzero(off)[0]) if off.any() else None
+
+
 def _tensor_from_signatures(ref, r):
     """The tensor from the reference signatures: row t of ``ref`` holds the
     sorted composition codes u*r + s of one pair of color t, so each run of
-    equal codes in it is one nonzero c_{us}^t."""
+    equal codes in it is one nonzero c_{us}^t.
+
+    Each nonzero is packed as key*(n+1) + count in one int64 (a run is at
+    most n long, and keys are distinct), a block of rows at a time; the
+    packed array is sorted and unpacked in place.  Besides the two result
+    arrays only one block's scratch is live."""
     rows, n = ref.shape
-    starts = np.ones((rows, n), dtype=bool)
-    np.not_equal(ref[:, 1:], ref[:, :-1], out=starts[:, 1:])
-    starts = np.flatnonzero(starts)
-    counts = np.diff(starts, append=rows * n)
-    keys = ref.ravel()[starts] * np.int64(r) + starts // n
-    order = np.argsort(keys)
-    return IntersectionTensor(r, keys[order], counts[order])
+    step = max(1, TENSOR_BUILD_CELLS // n)
+    blocks = [(lo, ref[lo:lo + step]) for lo in range(0, rows, step)]
+    nnz = rows + sum(np.count_nonzero(b[:, 1:] != b[:, :-1]) for _, b in blocks)
+    packed = np.empty(nnz, dtype=np.int64)
+    end = 0
+    for lo, block in blocks:
+        starts, counts = _row_runs(block)
+        keys = block.ravel()[starts] * np.int64(r) + (starts // n + lo)
+        packed[end:end + starts.size] = keys * (n + 1) + counts
+        end += starts.size
+    packed.sort()
+    counts = np.remainder(packed, n + 1)
+    keys = np.floor_divide(packed, n + 1, out=packed)
+    return IntersectionTensor(r, keys, counts)
 
 
 def _relation_fibers(colors, point_fiber, nf, r, axis):

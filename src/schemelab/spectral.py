@@ -2,14 +2,15 @@
 
 All work is on length-r coefficient vectors and r x r matrices, with no
 n x n matrix.  A random element z of the center (solved from the
-intersection numbers) acts on A = span{A(s)} by left multiplication; in the
-trace-orthonormal basis A(s)/sqrt(n n_s) its Hermitian and skew parts are
-commuting Hermitian matrices whose joint eigenspaces are the ideals e_P A,
-of dimension n_P^2.  e_P is the projection of the identity onto its ideal,
-and m_P = n e_P[identity] / n_P.  Integer invariants (sum of m*n equal to
-the degree, sum of n^2 equal to the rank, m >= n, a principal J/n block)
-and e_P e_P = e_P = e_P* validate every decomposition; on failure z is
-redrawn from the next of five fixed seeds.
+intersection numbers, or all of A when the scheme is commutative) acts on
+A = span{A(s)} by left multiplication; in the trace-orthonormal basis
+A(s)/sqrt(n n_s) its Hermitian and skew parts are commuting Hermitian
+matrices whose joint eigenspaces are the ideals e_P A, of dimension n_P^2.
+e_P is the projection of the identity onto its ideal, and
+m_P = n e_P[identity] / n_P.  Integer invariants (sum of m*n equal to the
+degree, sum of n^2 equal to the rank, m >= n, a principal J/n block) and
+e_P e_P = e_P = e_P* validate every decomposition; on failure z is redrawn
+from the next of five fixed seeds.
 
 All numerics are double precision; no exact arithmetic is used.  The
 validation-by-integer-invariants is the module's principal trade-off.
@@ -32,7 +33,7 @@ CLUSTER_TOL = 1e-8      # eigenvalue gap, relative to the spectral radius
 RANK_TOL = 1e-8         # singular-value threshold, relative to sigma_max
 INT_TOL = 1e-6          # residual allowed when rounding to integers
 DEGREE_CAP = 500
-RANK_CAP = 200          # the center solver is dense in (rank^2, rank)
+RANK_CAP = 200          # a non-commutative center solve is dense in (rank^2, rank)
 TERWILLIGER_POINT_CAP = 200
 
 
@@ -74,8 +75,14 @@ class _Unstable(Exception):
 
 
 def _center_basis(cfg):
-    """Orthonormal coefficient vectors spanning {z : [sum z_s A(s), A(t)] = 0}."""
+    """Orthonormal coefficient vectors spanning {z : [sum z_s A(s), A(t)] = 0}.
+
+    A commutative algebra is its own center, and the identity basis is
+    orthonormal: the SVD of its all-zero equations would return exactly
+    that basis."""
     r = cfg.rank
+    if cc_core.is_commutative(cfg):
+        return np.eye(r)
     a, b, u, c = cfg.tensor.arrays()
     eqs = np.zeros((r * r, r))
     np.add.at(eqs, (b * r + u, a), c)    # + c_{ab}^u  at equation (t=b, u)

@@ -2,8 +2,10 @@
 
 Everything here recomputes quantities straight from the color matrix (or raw
 definitions), deliberately avoiding the library's tensor/search code paths.
+``traced_peak`` measures the memory a call allocates.
 """
 
+import tracemalloc
 from collections import deque
 from itertools import permutations
 
@@ -418,6 +420,30 @@ def central_idempotents_naive(cfg, seed=0, tol=1e-8):
     rest = sorted((i for i in range(d) if i != p0),
                   key=lambda i: (blocks[i][1], blocks[i][0], i))
     return [blocks[i] for i in [p0] + rest]
+
+
+def tensor_from_signatures_argsort(ref, r):
+    """The tensor's sorted (keys, counts) read off reference signatures (row
+    t holds the sorted composition codes u*r + s of one pair of color t) by
+    one global argsort of the keys (u*r + s)*r + t of all runs."""
+    rows, n = ref.shape
+    starts = np.ones((rows, n), dtype=bool)
+    np.not_equal(ref[:, 1:], ref[:, :-1], out=starts[:, 1:])
+    starts = np.flatnonzero(starts)
+    counts = np.diff(starts, append=rows * n)
+    keys = ref.ravel()[starts] * np.int64(r) + starts // n
+    order = np.argsort(keys)
+    return keys[order], counts[order]
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dense_tensor(T):

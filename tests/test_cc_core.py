@@ -14,6 +14,7 @@ from schemelab.errors import (
     AxiomS2Violated,
     AxiomS3Violated,
     NotAScheme,
+    TooLarge,
 )
 
 Z3_MATRIX = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
@@ -93,6 +94,15 @@ def test_valency_violation_reports_first_color_and_point():
         cc_core.validate_config(path)
     err = info.value
     assert (err.triple, err.pairs, err.counts) == ((1, 1, 0), ((0, 0), (1, 1)), (1, 2))
+    # every off-diagonal cell its own color: point 1 holds no pair of color
+    # 1 at all, and in the second matrix neither does the source point 0
+    for m, triple, counts in (([[0, 1, 2], [3, 0, 4], [5, 6, 0]], (1, 3, 0), (1, 0)),
+                              ([[0, 2, 3], [1, 0, 4], [5, 6, 0]], (1, 2, 0), (0, 1))):
+        with pytest.raises(AxiomS3Violated,
+                           match="valency of color 1 differs between points 0 and 1") as info:
+            cc_core.validate_config(m, canonicalize=False)
+        err = info.value
+        assert (err.triple, err.pairs, err.counts) == (triple, ((0, 0), (1, 1)), counts)
 
 
 def test_noncontiguous_ids_rejected():
@@ -180,6 +190,47 @@ def test_extension_tensor_stores_at_most_16_bytes_per_nonzero(c67k2):
     stored = [v for k, v in vars(T).items() if k != "rank"]
     assert all(isinstance(v, np.ndarray) for v in stored)
     assert sum(v.nbytes for v in stored) <= 16 * T.nonzero_count()
+
+
+def test_packed_tensor_build_matches_argsort_oracle(corpus, c67k2, c151k3, monkeypatch):
+    configs = list(corpus.values()) + [extension.coherent_closure(c67k2, {0}),
+                                       extension.explicit_extension(c151k3, 0).config]
+    assert [cfg.rank for cfg in configs[-2:]] == [2245, 7601]
+    # one block of rows per 2^16 cells, then every row its own block
+    for cells, cfgs in ((cc_core.TENSOR_BUILD_CELLS, configs), (1, corpus.values())):
+        monkeypatch.setattr(cc_core, "TENSOR_BUILD_CELLS", cells)
+        for cfg in cfgs:
+            ref, _, bad = cc_core._verify_classes(cfg.colors, cfg.rank, cfg.colors)
+            assert bad is None
+            keys, counts = oracles.tensor_from_signatures_argsort(ref, cfg.rank)
+            for T in (cfg.tensor, cc_core._tensor_from_signatures(ref, cfg.rank)):
+                assert T._keys.dtype == keys.dtype and T._counts.dtype == counts.dtype
+                assert np.array_equal(T._keys, keys) and np.array_equal(T._counts, counts)
+                assert not T._keys.flags.writeable and not T._counts.flags.writeable
+
+
+def test_closure_peak_memory_stays_near_the_tensor(c151k3):
+    # the argsort build held starts, counts, keys, the order and both
+    # gathered copies at once: 3.87 times the finished 16 B per nonzero
+    ext, peak = oracles.traced_peak(extension.coherent_closure, c151k3, {0})
+    assert peak <= 2.5 * 16 * ext.tensor.nonzero_count()
+
+
+def test_key_range_cap_refuses_before_allocating():
+    # 600 points, the diagonal one color and every other cell its own:
+    # rank 359 401, whose rank^3 * 601 passes 2^63
+    n = 600
+    m = np.arange(1, n * n + 1).reshape(n, n)
+    np.fill_diagonal(m, 0)
+    m = cc_core.canonicalize_colors(m)
+
+    def refuse():
+        with pytest.raises(TooLarge, match="rank 359401 on 600 points"):
+            cc_core.validate_config(m)
+
+    _, peak = oracles.traced_peak(refuse)
+    # an (n, rank) int64 array alone would take 1.6 GiB
+    assert peak < 32 * 2**20
 
 
 def test_only_cc_core_reads_tensor_internals():
