@@ -5,7 +5,7 @@ ids ("colors").  ``validate_config`` checks the three defining axioms (the
 diagonal is a union of colors, the color partition is transpose-closed, and
 all triple intersection counts are constant on each color), then returns an
 immutable ``CoherentConfig`` carrying the star map, fibers, valencies and the
-full intersection tensor.
+full intersection tensor, built on first read.
 
 Conventions:
 
@@ -27,7 +27,10 @@ Conventions:
   composition codes color(a,b)*r + color(b,g) of one row of pairs
   (``_row_signatures``), checked class by class against the signature of
   each class's first pair (``_verify_classes``).  The tensor is read off
-  those reference signatures.
+  those reference signatures, built on first read: S1-S3 are checked when
+  the configuration is made, but a caller that never reads the tensor (a
+  one-point extension asked only for its rank and fibers) never pays for
+  its packed sort, and holds the (rank, n) references instead.
 """
 
 from __future__ import annotations
@@ -128,11 +131,12 @@ class CoherentConfig:
     point_fiber : length-n array of fiber indices
     relation_source, relation_target : length-r arrays of fiber indices
     valencies : length-r array, n_s per relation (per source fiber)
-    tensor : IntersectionTensor
+    tensor : IntersectionTensor, built on first read from the verified
+        reference signatures ``ref``, which are then dropped
     """
 
     def __init__(self, colors, star, diagonal_colors, fibers, point_fiber,
-                 relation_source, relation_target, valencies, tensor):
+                 relation_source, relation_target, valencies, ref):
         self.colors = colors
         self.star = star
         self.diagonal_colors = diagonal_colors
@@ -141,10 +145,18 @@ class CoherentConfig:
         self.relation_source = relation_source
         self.relation_target = relation_target
         self.valencies = valencies
-        self.tensor = tensor
+        self._ref = ref
+        self._tensor = None
         for arr in (colors, star, point_fiber, relation_source,
                     relation_target, valencies):
             arr.setflags(write=False)
+
+    @property
+    def tensor(self):
+        if self._tensor is None:
+            self._tensor = _tensor_from_signatures(self._ref, self.rank)
+            self._ref = None
+        return self._tensor
 
     @property
     def n(self):
@@ -239,12 +251,27 @@ def _verify_classes(colors, r, classes):
     return ref, first_cell, None
 
 
-def _fingerprint_weights(count):
-    """Fixed 64-bit weights: the SplitMix64 finalizer of 0..count-1."""
-    z = np.arange(count, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64_finalize(z):
+    """The SplitMix64 output function of a uint64 array."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+def _splitmix64(seed, count):
+    """The first ``count`` outputs of the SplitMix64 generator seeded with
+    ``seed``, as uint64."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN_GAMMA
+    return _splitmix64_finalize(steps + np.uint64(seed))
+
+
+def _fingerprint_weights(count):
+    """Fixed 64-bit weights: the SplitMix64 finalizer of 0..count-1."""
+    return _splitmix64_finalize(
+        np.arange(count, dtype=np.uint64) + _GOLDEN_GAMMA)
 
 
 def _fingerprint_classes(colors, r):
@@ -294,10 +321,12 @@ def _weisfeiler_leman(colors):
     while True:
         new = _fingerprint_classes(colors, r)
         ref, _, bad = _verify_classes(colors, r, new)
+        if bad is None and int(new.max()) + 1 == r:
+            return _checked_config(colors, r, ref)
+        # this round's references die before the next round allocates its own
+        del ref
         if bad is not None:
             new = _exact_regroup(colors, r)
-        elif int(new.max()) + 1 == r:
-            return _checked_config(colors, r, ref)
         colors, r = new, int(new.max()) + 1
 
 
@@ -306,9 +335,9 @@ def validate_config(matrix, *, canonicalize=True):
 
     Checks axioms S1 (diagonal is a union of colors), S2 (transpose-closed)
     and S3 (constant triple counts, verified over all pairs of every
-    relation, not a sample), computing the intersection tensor along the
-    way.  With ``canonicalize`` the ids are first relabeled to row-major
-    first-occurrence order.
+    relation, not a sample), keeping the reference signatures from which
+    the intersection tensor is built on first read.  With ``canonicalize``
+    the ids are first relabeled to row-major first-occurrence order.
     """
     colors = np.array(matrix, dtype=np.int64)
     if colors.ndim != 2 or colors.shape[0] != colors.shape[1]:
@@ -401,10 +430,8 @@ def _checked_config(colors, r, ref=None):
                 pairs=((alpha, gamma), (t_row, t_col)),
                 counts=(c1, c2))
 
-    tensor = _tensor_from_signatures(ref, r)
-
     return CoherentConfig(colors, star, diagonal_colors, fibers, point_fiber,
-                          relation_source, relation_target, valencies, tensor)
+                          relation_source, relation_target, valencies, ref)
 
 
 def _row_runs(rows):

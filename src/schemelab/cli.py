@@ -212,8 +212,9 @@ def _analyze(args):
 def _extension_summary(cfg, args, method, out):
     """One extension of ``args.point`` by ``method``, written to ``out`` when
     given.  Returns (rank, fiber profile, semiregular, canonical colors);
-    the configuration and its tensor are freed on return, so they are not
-    alive while a second method runs."""
+    the configuration is freed on return, so it is not alive while a second
+    method runs.  Nothing here reads the extension's tensor, so it is never
+    built."""
     alpha = args.point
     if method == "explicit":
         res = extension.explicit_extension(cfg, alpha)

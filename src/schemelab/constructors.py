@@ -486,13 +486,23 @@ def passman_scheme(q):
     return permgroup.orbital_scheme(G)
 
 
-def _mat_mul(F, A, B):
+def _field_tables(F):
+    """The q x q addition and multiplication tables of a field, as nested
+    lists, so a 2 x 2 matrix product is eight lookups with no call."""
+    nonzero = F._log[1:]
+    mul = np.zeros((F.q, F.q), dtype=np.int64)
+    mul[1:, 1:] = F._exp[(nonzero[:, None] + nonzero[None, :]) % (F.q - 1)]
+    return F._add_table.tolist(), mul.tolist()
+
+
+def _mat_mul(tables, A, B):
+    add, mul = tables
     a, b, c, d = A
     e, f, g, h = B
-    return (F.add(F.mul(a, e), F.mul(b, g)),
-            F.add(F.mul(a, f), F.mul(b, h)),
-            F.add(F.mul(c, e), F.mul(d, g)),
-            F.add(F.mul(c, f), F.mul(d, h)))
+    return (add[mul[a][e]][mul[b][g]],
+            add[mul[a][f]][mul[b][h]],
+            add[mul[c][e]][mul[d][g]],
+            add[mul[c][f]][mul[d][h]])
 
 
 def hollman_scheme(q):
@@ -504,7 +514,7 @@ def hollman_scheme(q):
         raise ValueError("q must be a power of 2 greater than 4")
     if q not in (8, 16):
         raise TooLarge("desk cap allows q in {8, 16}")
-    F = FiniteField(2, e)
+    tables = _field_tables(FiniteField(2, e))
     one = 1
     ident = (one, 0, 0, one)
 
@@ -520,7 +530,7 @@ def hollman_scheme(q):
     while queue:
         x = queue.popleft()
         for g in sl_gens:
-            y = _mat_mul(F, x, g)
+            y = _mat_mul(tables, x, g)
             if y not in index_of:
                 index_of[y] = len(elements)
                 elements.append(y)
@@ -533,7 +543,7 @@ def hollman_scheme(q):
         k = 1
         X = A
         while X != ident:
-            X = _mat_mul(F, X, A)
+            X = _mat_mul(tables, X, A)
             k += 1
         return k
 
@@ -544,7 +554,7 @@ def hollman_scheme(q):
             X = A
             while X != ident:
                 powers.append(X)
-                X = _mat_mul(F, X, A)
+                X = _mat_mul(tables, X, A)
             subgroups.add(frozenset(index_of[P] for P in powers))
     omega = sorted(subgroups, key=lambda U: tuple(sorted(U)))
     if len(omega) != (q * q - q) // 2:
@@ -559,8 +569,9 @@ def hollman_scheme(q):
         ginv = (d, b, c, a)  # characteristic 2, det 1
         images = []
         for U in omega:
-            V = frozenset(index_of[_mat_mul(F, _mat_mul(F, ginv, elements[u]), g)]
-                          for u in U)
+            V = frozenset(
+                index_of[_mat_mul(tables, _mat_mul(tables, ginv, elements[u]), g)]
+                for u in U)
             images.append(omega_index[V])
         perms.append(tuple(images))
     G = permgroup.group_closure(perms)

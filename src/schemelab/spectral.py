@@ -10,7 +10,8 @@ e_P is the projection of the identity onto its ideal, and
 m_P = n e_P[identity] / n_P.  Integer invariants (sum of m*n equal to the
 degree, sum of n^2 equal to the rank, m >= n, a principal J/n block) and
 e_P e_P = e_P = e_P* validate every decomposition; on failure z is redrawn
-from the next of five fixed seeds.
+from the next of five fixed seeds.  The draws come from a SplitMix64 stream
+per seed, so ``numpy.random`` is never imported.
 
 All numerics are double precision; no exact arithmetic is used.  The
 validation-by-integer-invariants is the module's principal trade-off.
@@ -123,11 +124,17 @@ def _round_int(x, what):
     return int(k)
 
 
-def _attempt(cfg, tensor_arrays, basis, rng):
+def _center_weights(d, seed):
+    """d complex weights with real and imaginary parts uniform in [-1, 1),
+    from the top 53 bits of the SplitMix64 stream of ``seed``."""
+    u = (cc_core._splitmix64(seed, 2 * d) >> np.uint64(11)) * 2.0 ** -52 - 1.0
+    return u[:d] + 1j * u[d:]
+
+
+def _attempt(cfg, tensor_arrays, basis, seed):
     n, r = cfg.n, cfg.rank
     d = basis.shape[0]
-    w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    z = basis.T @ w
+    z = basis.T @ _center_weights(d, seed)
     # In the basis A(s)/sqrt(n n_s) the adjoint of left multiplication by x
     # is left multiplication by x*, so both parts below are Hermitian.
     root = np.sqrt(cfg.valencies.astype(np.float64))
@@ -192,9 +199,8 @@ def decompose(cfg):
     basis = _center_basis(cfg)
     last = None
     for attempt in range(ATTEMPTS):
-        rng = np.random.default_rng(DEFAULT_SEED + attempt)
         try:
-            return _attempt(cfg, tensor_arrays, basis, rng)
+            return _attempt(cfg, tensor_arrays, basis, DEFAULT_SEED + attempt)
         except _Unstable as exc:
             last = exc
     raise DecompositionUnstable(f"all {ATTEMPTS} attempts failed: {last}")

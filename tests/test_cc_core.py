@@ -76,6 +76,16 @@ def test_axiom_s3_violation_reports_witnesses():
     err = info.value
     assert err.triple is not None and err.pairs is not None
     assert err.counts[0] != err.counts[1]
+    # the 6-cycle is regular, so only the full S3 pass sees that pairs at
+    # distance 2 and 3 share 1 and 0 neighbours; the tensor is built on
+    # first read, but S3 is checked when the configuration is made
+    c6 = [[0 if i == j else 1 if (i - j) % 6 in (1, 5) else 2 for j in range(6)]
+          for i in range(6)]
+    with pytest.raises(AxiomS3Violated, match=re.escape(
+            "c[1][1][2] is 0 at pair (0,3) but 1 at pair (0,2)")) as info:
+        cc_core.validate_config(c6)
+    err = info.value
+    assert (err.triple, err.pairs, err.counts) == ((1, 1, 2), ((0, 3), (0, 2)), (0, 1))
 
 
 def test_valency_violation_reports_first_color_and_point():
@@ -207,13 +217,20 @@ def test_packed_tensor_build_matches_argsort_oracle(corpus, c67k2, c151k3, monke
                 assert T._keys.dtype == keys.dtype and T._counts.dtype == counts.dtype
                 assert np.array_equal(T._keys, keys) and np.array_equal(T._counts, counts)
                 assert not T._keys.flags.writeable and not T._counts.flags.writeable
+            assert cfg.tensor is cfg.tensor
 
 
 def test_closure_peak_memory_stays_near_the_tensor(c151k3):
-    # the argsort build held starts, counts, keys, the order and both
-    # gathered copies at once: 3.87 times the finished 16 B per nonzero
+    # the closure and the first read of its tensor; the argsort build held
+    # starts, counts, keys, the order and both gathered copies at once:
+    # 3.87 times the finished 16 B per nonzero
+    T, peak = oracles.traced_peak(lambda: extension.coherent_closure(c151k3, {0}).tensor)
+    assert peak <= 2.5 * 16 * T.nonzero_count()
+    # the closure alone keeps the final round's (rank, n) int32 references,
+    # not a tensor; with the previous round's still alive while the last
+    # round filled its own, the peak was 2.2 times one set, now 1.5
     ext, peak = oracles.traced_peak(extension.coherent_closure, c151k3, {0})
-    assert peak <= 2.5 * 16 * ext.tensor.nonzero_count()
+    assert peak <= 1.8 * ext.rank * ext.n * 4
 
 
 def test_key_range_cap_refuses_before_allocating():

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from schemelab import cli
+import oracles
+from schemelab import cc_core, cli
 from schemelab.errors import SchemeFileError
 
 
@@ -103,17 +104,18 @@ def test_golden_determinism_across_runs(tmp_path, capsys):
 
 def test_cli_and_closure_leave_heavy_modules_unimported():
     # hashlib, thread pools and numpy.random each add to the RSS of every
-    # command; none is needed to load the CLI, to run a WL closure or to
-    # build an explicit extension
+    # command; none is needed to load the CLI, to run a WL closure, to
+    # build an explicit extension or to decompose the adjacency algebra
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         "import schemelab.cli\n"
-        "from schemelab import constructors, extension\n"
+        "from schemelab import constructors, extension, spectral\n"
         "cfg = constructors.frobenius_example_scheme(2, 3)\n"
         "extension.coherent_closure(cfg, {0})\n"
         "c67 = constructors.cyclotomic_scheme(constructors.FiniteField(67), 2)\n"
         "extension.explicit_extension(c67, 0)\n"
+        "spectral.decompose(c67)\n"
         "print(*[m for m in ('hashlib', 'concurrent.futures', 'numpy.random')\n"
         "        if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=src)
@@ -142,6 +144,35 @@ def test_analyze_rejects_corrupted_file(tmp_path, capsys, c67_file):
     bad.write_text(json.dumps(payload))
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2 and "error" in err
+
+
+def test_extend_never_builds_an_extension_tensor(c67_file, capsys, monkeypatch):
+    # rank, fibers, semiregularity and agreement need no intersection
+    # numbers of the extension; only the explicit method reads the base's
+    built = []
+    build = cc_core._tensor_from_signatures
+
+    def spy(ref, r):
+        built.append(r)
+        return build(ref, r)
+
+    monkeypatch.setattr(cc_core, "_tensor_from_signatures", spy)
+    code, out, _ = run(capsys, "extend", str(c67_file), "--point", "0",
+                       "--method", "both", "--json")
+    assert code == 0 and json.loads(out)["rank"] == 2245
+    assert built == [34]
+
+
+def test_extend_peak_memory_stays_below_the_extension_tensor(tmp_path, capsys):
+    # c151k3 at point 0: rank 7601, whose tensor alone takes 17.5 MiB;
+    # building it for each method peaked at about 25 MiB
+    path = tmp_path / "c151k3.json"
+    assert run(capsys, "construct", "cyclotomic", "--p", "151", "--k-order", "3",
+               "-o", str(path))[0] == 0
+    code, peak = oracles.traced_peak(cli.main, ["extend", str(path), "--point", "0",
+                                                "--method", "both", "--json"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["methods_agree"]
+    assert peak <= 12 * 2**20
 
 
 def test_extend_both_methods(c67_file, tmp_path, capsys):

@@ -103,6 +103,12 @@ def test_decompose_reproducible(frob23):
     assert d1.pairs == d2.pairs
     for b1, b2 in zip(d1.blocks, d2.blocks):
         assert np.array_equal(b1.projector, b2.projector)
+    # the draws are SplitMix64 streams: the reference outputs of seed 0
+    assert cc_core._splitmix64(0, 3).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    w = spectral._center_weights(1000, spectral.DEFAULT_SEED)
+    parts = np.concatenate([w.real, w.imag])
+    assert parts.min() >= -1 and parts.max() < 1 and np.unique(parts).size == 2000
 
 
 def test_decompose_matches_naive_eigenprojectors(corpus, c151k3):
