@@ -76,7 +76,9 @@ def _float12(x):
     return float(f"{x:.12g}")
 
 
-def _load_cayley_table(path):
+def _read_int_rows(path):
+    """The integer rows of a Cayley table or plane file; '#' starts a
+    comment and blank lines are skipped."""
     rows = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -87,12 +89,7 @@ def _load_cayley_table(path):
 
 
 def _load_plane_lines(path):
-    with open(path, encoding="utf-8") as handle:
-        tokens = []
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.append([int(tok) for tok in line.split()])
+    tokens = _read_int_rows(path)
     if not tokens or len(tokens[0]) != 2:
         raise SchemeFileError("plane file must start with 'n_points n_lines'")
     n_points, n_lines = tokens[0]
@@ -144,10 +141,11 @@ def _construct(args):
         cfg = constructors.hollman_scheme(args.q)
         meta.update(q=args.q)
     elif family == "regular":
-        cfg = constructors.regular_scheme(_load_cayley_table(args.table))
+        cfg = constructors.regular_scheme(_read_int_rows(args.table))
         meta.update(table=args.table)
     elif family == "group-orbitals":
         gens = permgroup.load_generators(args.generators)
+        constructors.check_point_cap(len(gens[0]) if gens else args.degree or 0)
         G = permgroup.group_closure(gens, n=args.degree)
         cfg = permgroup.orbital_scheme(G)
         meta.update(generators=args.generators)

@@ -58,210 +58,112 @@ def factor_prime_power(q):
     return q, 1
 
 
-def _prime_factors(m):
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-# Polynomials over GF(p) as coefficient lists, low degree first.
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_rem(out, mod, p)
-
-
-def _poly_rem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        if a[i]:
-            f = a[i] * inv_lead % p
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - f * mod[j]) % p
-    del a[dm:]
-    return _poly_trim(a)
-
-
-def _poly_powmod(base, e, mod, p):
-    result = [1]
-    base = _poly_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        mod = [c * inv_lead % p for c in b]
-        a, b = b, _poly_rem(a, mod, p)
-    return a
-
-
-def _is_irreducible(f, p, m):
-    """No roots; for m >= 4 additionally gcd tests against x^(p^d) - x for
-    proper divisors d >= 2; always the final x^(p^m) = x check for m >= 2."""
-    if m == 1:
-        return True
-    for x in range(p):
-        acc = 0
-        for c in reversed(f):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    x_poly = [0, 1]
-    for d in range(2, m):
-        if m % d == 0:
-            xp = _poly_powmod(x_poly, p ** d, f, p)
-            g = _poly_gcd([(a - b) % p for a, b in
-                           zip(xp + [0, 0], x_poly + [0] * len(xp))], f, p)
-            if len(g) > 1:
-                return False
-    xp = _poly_powmod(x_poly, p ** m, f, p)
-    diff = [(a - b) % p for a, b in zip(xp + [0, 0], x_poly + [0] * len(xp))]
-    return not _poly_trim(diff)
+def check_point_cap(n):
+    """Raise TooLarge when a construction has more than POINT_CAP points."""
+    if n > POINT_CAP:
+        raise TooLarge(f"{n} points exceeds cap {POINT_CAP}")
 
 
 class FiniteField:
-    """GF(p^m) with integer element indices and table-based arithmetic."""
+    """GF(p^m) held as its tables, on element indices 0..q-1.
+
+    ``add_table[a, b]``, ``neg_table[a]`` and ``mul_table[a, b]`` give a + b,
+    -a and ab; ``exp_table[i]`` is the generator to the i-th power and
+    ``log_table`` its inverse, with ``log_table[0] = -1``.  All are read-only
+    int64 arrays.  A field of at most POINT_CAP elements is fully described
+    by them (Lidl and Niederreiter, *Finite Fields*, 1997).
+    """
 
     def __init__(self, p, m=1):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
+        # p and m are bounded before p ** m is formed
+        if p > POINT_CAP or m > POINT_CAP or p ** m > POINT_CAP:
+            raise TooLarge(f"GF({p}^{m}) exceeds cap {POINT_CAP}")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.m = m
-        self.q = p ** m
-        self.modulus = self._smallest_irreducible()
-        self._digits = self._digit_matrix()
-        self._powers = np.array([p ** j for j in range(m)], dtype=np.int64)
-        self._add_table = self._build_add_table()
-        self._neg = self._encode((self.p - self._digits) % self.p)
-        self.generator = self._find_generator()
-        self._exp, self._log = self._build_exp_log()
+        self.q = q = p ** m
+        powers = p ** np.arange(m)
+        digits = np.arange(q)[:, None] // powers % p
+        self.add_table = (digits[:, None, :] + digits[None, :, :]) % p @ powers
+        self.neg_table = -digits % p @ powers
+        self.modulus, self.mul_table = self._first_field(digits, powers)
+        for g in range(1, q):
+            # the powers of g, up to its order
+            exp = [1]
+            x = g
+            while x != 1:
+                exp.append(x)
+                x = int(self.mul_table[x, g])
+            if len(exp) == q - 1:
+                break
+        self.generator = g
+        self.exp_table = np.array(exp, dtype=np.int64)
+        self.log_table = np.full(q, -1, dtype=np.int64)
+        self.log_table[self.exp_table] = np.arange(q - 1)
+        for table in (self.add_table, self.neg_table, self.mul_table,
+                      self.exp_table, self.log_table):
+            table.setflags(write=False)
 
-    # -- construction helpers -------------------------------------------
-
-    def _smallest_irreducible(self):
-        if self.m == 1:
-            return (0, 1)
-        for code in range(self.q):
-            coeffs = []
-            c = code
-            for _ in range(self.m):
-                coeffs.append(c % self.p)
-                c //= self.p
-            f = coeffs + [1]
-            if _is_irreducible(f, self.p, self.m):
-                return tuple(f)
+    def _first_field(self, digits, powers):
+        """The first monic f of degree m, in numeric order of its lower
+        coefficients, for which GF(p)[x]/(f) has no zero divisors, and that
+        ring's multiplication table.  A finite ring without zero divisors
+        is a field, so f is the first irreducible; for m = 1 it is x."""
+        p, m, q = self.p, self.m, self.q
+        add = self.add_table
+        # scalar[c, a] = ca for c in GF(p)
+        scalar = np.arange(p)[:, None, None] * digits % p @ powers
+        candidates = range(q)
+        if m > 1:   # an f with a root in GF(p) has a linear factor
+            coeffs = np.hstack([digits, np.ones((q, 1), dtype=np.int64)])
+            values = coeffs @ (np.arange(p)[:, None] ** np.arange(m + 1)).T % p
+            candidates = np.flatnonzero(values.all(axis=1))
+        b = np.arange(q)
+        top = p ** (m - 1)
+        for code in candidates:
+            # xb: the digits of b shifted up, x^m reduced to
+            # -(f_0 + f_1 x + ... + f_(m-1) x^(m-1))
+            times_x = add[b % top * p, scalar[-(b // top) % p, code]]
+            mul = scalar[digits[:, 0]]
+            xb = b
+            for j in range(1, m):   # ab = sum_j a_j (x^j b)
+                xb = times_x[xb]
+                mul = add[mul, scalar[digits[:, j, None], xb]]
+            if mul[1:, 1:].all():
+                return tuple(int(c) for c in digits[code]) + (1,), mul
         raise ConstructionFailed("no irreducible polynomial found")  # pragma: no cover
-
-    def _digit_matrix(self):
-        vals = np.arange(self.q, dtype=np.int64)
-        digits = np.empty((self.q, self.m), dtype=np.int64)
-        for j in range(self.m):
-            digits[:, j] = vals % self.p
-            vals //= self.p
-        return digits
-
-    def _encode(self, digits):
-        return digits @ self._powers
-
-    def _build_add_table(self):
-        d = self._digits
-        return self._encode((d[:, None, :] + d[None, :, :]) % self.p)
-
-    def _raw_mul(self, a, b):
-        pa = _poly_trim(list(self._digits[a]))
-        pb = _poly_trim(list(self._digits[b]))
-        prod = _poly_mulmod(pa, pb, list(self.modulus), self.p)
-        return int(sum(c * self.p ** j for j, c in enumerate(prod)))
-
-    def _raw_pow(self, a, e):
-        result = 1
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return result
-
-    def _find_generator(self):
-        if self.q == 2:
-            return 1
-        factors = _prime_factors(self.q - 1)
-        for a in range(2, self.q):
-            if all(self._raw_pow(a, (self.q - 1) // f) != 1 for f in factors):
-                return a
-        raise ConstructionFailed("no field generator found")  # pragma: no cover
-
-    def _build_exp_log(self):
-        exp = np.empty(self.q - 1, dtype=np.int64)
-        log = np.full(self.q, -1, dtype=np.int64)
-        x = 1
-        for i in range(self.q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self._raw_mul(x, self.generator)
-        if x != 1:
-            raise ConstructionFailed("generator order mismatch")  # pragma: no cover
-        return exp, log
 
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a, b):
-        return int(self._add_table[a, b])
+        return int(self.add_table[a, b])
 
     def neg(self, a):
-        return int(self._neg[a])
+        return int(self.neg_table[a])
 
     def sub(self, a, b):
-        return int(self._add_table[a, self._neg[b]])
+        return int(self.add_table[a, self.neg_table[b]])
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
+        return int(self.mul_table[a, b])
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return int(self._exp[(-self._log[a]) % (self.q - 1)])
+        return int(self.exp_table[-self.log_table[a] % (self.q - 1)])
 
     def pow(self, a, e):
         if a == 0:
             return 1 if e == 0 else 0
-        return int(self._exp[(self._log[a] * e) % (self.q - 1)])
+        return int(self.exp_table[self.log_table[a] * e % (self.q - 1)])
 
     def log(self, a):
         if a == 0:
             raise ZeroDivisionError("log of 0")
-        return int(self._log[a])
+        return int(self.log_table[a])
 
     def element_order(self, a):
         if a == 0:
@@ -274,8 +176,7 @@ class FiniteField:
             raise OrderDoesNotDivide(
                 f"{order} does not divide {self.q - 1}")
         step = (self.q - 1) // order
-        return tuple(sorted(int(self._exp[(i * step) % (self.q - 1)])
-                            for i in range(order)))
+        return tuple(sorted(int(x) for x in self.exp_table[::step]))
 
     def coset_index(self, a, subgroup_order):
         """Index of aK in F*/K for the subgroup K of the given order."""
@@ -293,10 +194,8 @@ def cyclotomic_scheme(field, subgroup_order):
     if subgroup_order < 1 or (q - 1) % subgroup_order:
         raise OrderDoesNotDivide(f"{subgroup_order} does not divide {q - 1}")
     ncos = (q - 1) // subgroup_order
-    idx = np.arange(q)
-    diff = field._add_table[field._neg[idx][:, None], idx[None, :]]
-    logs = field._log[diff]
-    colors = 1 + (logs % ncos)
+    diff = field.add_table[field.neg_table]   # diff[x, y] = y - x
+    colors = 1 + field.log_table[diff] % ncos
     np.fill_diagonal(colors, 0)
     return cc_core.validate_config(colors)
 
@@ -309,29 +208,23 @@ def frobenius_example_group(q, n):
     Point A(a, b) has index a*q^n + b.  The multiplier c is g^(q-1) for the
     canonical generator g, the smallest power with order (q^n - 1)/(q - 1).
     """
-    p, e = factor_prime_power(q)
     if n <= 1 or n % 2 == 0:
         raise ValueError("n must be an odd integer > 1")
     big = q ** n
     degree = big * big
-    if degree > POINT_CAP:
-        raise TooLarge(f"degree {degree} exceeds cap {POINT_CAP}")
+    check_point_cap(degree)
+    p, e = factor_prime_power(q)
     field = FiniteField(p, e * n)
+    add, mul = field.add_table, field.mul_table
 
-    def point(a, b):
-        return a * big + b
+    def perm(a_images, b_images):
+        # A(a, b) -> A(a_images[a], b_images[a, b]), as a permutation of points
+        return tuple((a_images[:, None] * big + b_images).ravel().tolist())
 
     def h_perm(a2, b2):
         # right multiplication: A(a,b) A(a2,b2) = A(a+a2, b+b2+a*a2^q)
-        a2q = field.pow(a2, q)
-        images = []
-        for a in range(big):
-            aa = field.add(a, a2)
-            shift = field.add(b2, field.mul(a, a2q))
-            row = field._add_table[shift]
-            base = point(aa, 0)
-            images.extend(int(base + row[b]) for b in range(big))
-        return tuple(images)
+        shift = add[b2, mul[:, field.pow(a2, q)]]
+        return perm(add[:, a2], add[shift])
 
     gens = []
     for j in range(field.m):
@@ -340,9 +233,7 @@ def frobenius_example_group(q, n):
         gens.append(h_perm(0, t))
     c = field.pow(field.generator, q - 1)
     c2 = field.mul(c, field.pow(c, q))
-    sigma = tuple(point(field.mul(c, a), field.mul(c2, b))
-                  for a in range(big) for b in range(big))
-    gens.append(sigma)
+    gens.append(perm(mul[c], mul[c2]))
     G = permgroup.group_closure(gens)
     expected = degree * (big - 1) // (q - 1)
     if G.order != expected:
@@ -362,30 +253,18 @@ def affine_scheme(dim, q):
     of beta - alpha.  Rank 1 + (q^dim - 1)/(q - 1), valency q - 1."""
     if dim < 2:
         raise ValueError("dimension must be >= 2")
-    p, e = factor_prime_power(q)
-    npoints = q ** dim
-    if npoints > POINT_CAP:
-        raise TooLarge(f"{npoints} points exceeds cap {POINT_CAP}")
-    field = FiniteField(p, e)
-    coords = np.empty((npoints, dim), dtype=np.int64)
-    vals = np.arange(npoints)
-    for j in range(dim):
-        coords[:, j] = vals % q
-        vals //= q
-    colors = np.zeros((npoints, npoints), dtype=np.int64)
-    direction_ids: dict = {}
-    for a in range(npoints):
-        for b in range(npoints):
-            if a == b:
-                continue
-            delta = tuple(field.sub(int(coords[b, j]), int(coords[a, j]))
-                          for j in range(dim))
-            j0 = next(j for j, d in enumerate(delta) if d)
-            scale = field.inv(delta[j0])
-            rep = tuple(field.mul(scale, d) for d in delta)
-            cid = direction_ids.setdefault(rep, len(direction_ids) + 1)
-            colors[a, b] = cid
-    return cc_core.validate_config(colors)
+    check_point_cap(q ** dim)
+    field = FiniteField(*factor_prime_power(q))
+    place = q ** np.arange(dim)
+    coords = np.arange(q ** dim)[:, None] // place % q
+    # delta[a, b] = beta - alpha; its direction is delta scaled to lead with 1
+    delta = field.add_table[field.neg_table[coords][:, None], coords[None, :]]
+    lead = np.take_along_axis(delta, (delta != 0).argmax(axis=2)[..., None], 2)
+    # inverse[0] is arbitrary: a zero lead means a zero delta
+    inverse = field.exp_table[-field.log_table % (q - 1)]
+    direction = field.mul_table[inverse[lead], delta] @ place
+    # the zero direction is the diagonal, cell (0, 0) first: color 0
+    return cc_core.validate_config(cc_core.canonicalize_colors(direction))
 
 
 def affine_plane_from_lines(n_points, lines):
@@ -394,6 +273,7 @@ def affine_plane_from_lines(n_points, lines):
     Validates the plane axioms first (line size q on q^2 points, two points
     on exactly one line, parallelism an equivalence with q + 1 classes of q
     mutually disjoint lines covering the points)."""
+    check_point_cap(n_points)
     q = math.isqrt(n_points)
     if q < 2 or q * q != n_points:
         raise NotAnAffinePlane(f"{n_points} points is not q^2 for q >= 2")
@@ -459,40 +339,29 @@ def passman_scheme(q):
     """Orbital scheme of the Passman group on GF(q)^2 (q odd): maps
     (x, y) -> (ax + b, ±a^{-1}y + c) and (x, y) -> (ay + b, ±a^{-1}x + c).
     Degree q^2, valency 2(q - 1)."""
+    check_point_cap(q * q)
     p, e = factor_prime_power(q)
     if p == 2:
         raise ValueError("q must be odd")
-    if q * q > POINT_CAP:
-        raise TooLarge(f"degree {q * q} exceeds cap {POINT_CAP}")
     field = FiniteField(p, e)
+    add, mul = field.add_table, field.mul_table
+    x, y = np.arange(q)[:, None], np.arange(q)[None, :]
 
-    def pt(x, y):
-        return x * q + y
-
-    def make(fn):
-        return tuple(fn(x, y) for x in range(q) for y in range(q))
+    def make(x_images, y_images):
+        # (x, y) -> (x_images, y_images), one of them a column, one a row
+        return tuple((x_images * q + y_images).ravel().tolist())
 
     g = field.generator
-    ginv = field.inv(g)
     gens = []
-    for j in range(field.m):
+    for j in range(e):
         t = int(p ** j)
-        gens.append(make(lambda x, y, t=t: pt(field.add(x, t), y)))
-        gens.append(make(lambda x, y, t=t: pt(x, field.add(y, t))))
-    gens.append(make(lambda x, y: pt(field.mul(g, x), field.mul(ginv, y))))
-    gens.append(make(lambda x, y: pt(x, field.neg(y))))
-    gens.append(make(lambda x, y: pt(y, x)))
+        gens.append(make(add[x, t], y))
+        gens.append(make(x, add[y, t]))
+    gens.append(make(mul[g, x], mul[field.inv(g), y]))
+    gens.append(make(x, field.neg_table[y]))
+    gens.append(make(y, x))
     G = permgroup.group_closure(gens)
     return permgroup.orbital_scheme(G)
-
-
-def _field_tables(F):
-    """The q x q addition and multiplication tables of a field, as nested
-    lists, so a 2 x 2 matrix product is eight lookups with no call."""
-    nonzero = F._log[1:]
-    mul = np.zeros((F.q, F.q), dtype=np.int64)
-    mul[1:, 1:] = F._exp[(nonzero[:, None] + nonzero[None, :]) % (F.q - 1)]
-    return F._add_table.tolist(), mul.tolist()
 
 
 def _mat_mul(tables, A, B):
@@ -509,12 +378,14 @@ def hollman_scheme(q):
     """Orbital scheme of PSL(2, q) (q even) acting by conjugation on its
     cyclic subgroups of order q + 1.  Degree (q^2 - q)/2, valency q + 1.
     Desk cap: q in {8, 16}."""
-    p, e = factor_prime_power(q)
-    if p != 2 or q <= 4:
+    if q <= 4 or q & (q - 1):
         raise ValueError("q must be a power of 2 greater than 4")
     if q not in (8, 16):
         raise TooLarge("desk cap allows q in {8, 16}")
-    tables = _field_tables(FiniteField(2, e))
+    e = q.bit_length() - 1
+    F = FiniteField(2, e)
+    # nested lists, so a 2 x 2 matrix product is eight lookups with no call
+    tables = F.add_table.tolist(), F.mul_table.tolist()
     one = 1
     ident = (one, 0, 0, one)
 
@@ -585,6 +456,7 @@ def regular_scheme(cayley_table):
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise NotAGroup("Cayley table must be square")
     m = T.shape[0]
+    check_point_cap(m)
     if T.min() < 0 or T.max() >= m:
         raise NotAGroup("table entries out of range")
     ident = np.arange(m)
@@ -596,7 +468,9 @@ def regular_scheme(cayley_table):
     if len(e_candidates) != 1 or not np.array_equal(T[:, e_candidates[0]], ident):
         raise NotAGroup("no two-sided identity element")
     e = e_candidates[0]
-    if not np.array_equal(T[T, :], T[:, T]):
+    # one (m, m) slice per a, never an (m, m, m) array:
+    # T[T[a]][b, c] = (ab)c and T[a][T][b, c] = a(bc)
+    if any(not np.array_equal(T[T[a]], T[a][T]) for a in range(m)):
         raise NotAGroup("multiplication is not associative")
     inv = np.argmax(T == e, axis=1)
     colors = T[:, inv].T  # colors[x, y] = T[y, inv[x]] = y * x^{-1}

@@ -530,3 +530,22 @@ def block_matchings(cfg, au, aw):
 
 def fixed_points(g):
     return [i for i, gi in enumerate(g) if gi == i]
+
+
+def affine_colors_naive(field, dim):
+    """The AG(dim, q) color matrix by a loop over point pairs and the
+    field's scalar methods: the direction of beta - alpha, scaled so its
+    first nonzero coordinate is 1, numbered by first occurrence."""
+    q = field.q
+    coords = [[x // q ** j % q for j in range(dim)] for x in range(q ** dim)]
+    ids = {}
+    colors = np.zeros((len(coords), len(coords)), dtype=np.int64)
+    for a, alpha in enumerate(coords):
+        for b, beta in enumerate(coords):
+            delta = [field.sub(y, x) for x, y in zip(alpha, beta)]
+            lead = next((d for d in delta if d), None)
+            if lead is not None:
+                scale = field.inv(lead)
+                rep = tuple(field.mul(scale, d) for d in delta)
+                colors[a, b] = ids.setdefault(rep, len(ids) + 1)
+    return colors

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -273,3 +274,57 @@ def test_missing_family_parameters_exit_cleanly(tmp_path, capsys):
     assert code == 2 and "--n" in err
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def _ag2_lines(q):
+    # the q^2 + q lines of AG(2, q), q prime, point (x, y) -> q*y + x
+    lines = [[q * ((m * x + c) % q) + x for x in range(q)]
+             for m in range(q) for c in range(q)]
+    return lines + [[q * y + c for y in range(q)] for c in range(q)]
+
+
+def test_constructor_cap_holds_for_every_family(tmp_path, capsys):
+    n = 501
+    table = tmp_path / "z501.txt"
+    table.write_text("".join(" ".join(str((i + j) % n) for j in range(n)) + "\n"
+                             for i in range(n)))
+    gens = tmp_path / "gens501.txt"
+    gens.write_text(" ".join(str((i + 1) % n) for i in range(n)) + "\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no generators\n")
+    plane = tmp_path / "ag2_23.txt"
+    lines = _ag2_lines(23)
+    assert len(lines) == 552
+    plane.write_text(f"529 {len(lines)}\n"
+                     + "".join(" ".join(map(str, line)) + "\n" for line in lines))
+    over = [
+        ["cyclotomic", "--p", "503", "--k-order", "251"],
+        ["cyclotomic", "--p", "1009", "--k-order", "2"],
+        ["cyclotomic", "--p", "23", "--m", "2", "--k-order", "2"],
+        ["regular", "--table", str(table)],
+        ["group-orbitals", "--generators", str(gens)],
+        ["group-orbitals", "--generators", str(empty), "--degree", "501"],
+        ["affine-plane", "--lines", str(plane)],
+        ["affine", "--dim", "2", "--q", "23"],
+        ["passman", "--q", "23"],
+        ["frobenius-example", "--q", "3", "--n", "3"],
+        # a prime q this large is never factored
+        ["frobenius-example", "--q", str(2 ** 61 - 1), "--n", "3"],
+        ["passman", "--q", str(2 ** 61 - 1)],
+    ]
+    for argv in over:
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "construct", *argv,
+                                "-o", str(tmp_path / "over.json"))
+        assert (code, stdout) == (4, ""), argv
+        assert "exceeds cap 500" in err, argv
+        assert time.perf_counter() - start < 1.0, argv
+    assert not (tmp_path / "over.json").exists()
+    start = time.perf_counter()
+    assert run(capsys, "construct", "hollman", "--q", str(2 ** 61 - 1),
+               "-o", str(tmp_path / "h.json"))[0] == 2
+    assert time.perf_counter() - start < 1.0
+    code, _, _ = run(capsys, "construct", "cyclotomic", "--p", "499",
+                     "--k-order", "3", "-o", str(tmp_path / "c499.json"))
+    assert code == 0
+    assert cli.load_scheme(tmp_path / "c499.json")[0].n == 499

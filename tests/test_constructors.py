@@ -1,9 +1,12 @@
 """Finite fields and the scheme family constructors."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from schemelab import cc_core, constructors, permgroup
+import oracles
+from schemelab import cc_core, cli, constructors, permgroup
 from schemelab.constructors import FiniteField
 from schemelab.errors import (
     NotAGroup,
@@ -14,8 +17,11 @@ from schemelab.errors import (
 from conftest import PSEUDOCYCLIC_K
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1),
-                                 (13, 1), (67, 1), (3, 3)])
+FIELDS = [(2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (13, 1), (67, 1),
+          (3, 3), (2, 8), (3, 5), (7, 3), (19, 2)]
+
+
+@pytest.mark.parametrize("p,m", FIELDS)
 def test_field_modulus_irreducible_sympy_oracle(p, m):
     F = FiniteField(p, m)
     # sympy checks irreducibility of the chosen modulus (descending coeffs)
@@ -34,6 +40,28 @@ def test_field_modulus_irreducible_sympy_oracle(p, m):
                 c //= p
             cand = [1] + [int(x) for x in reversed(coeffs)]
             assert not gf_irreducible_p(cand, p, ZZ)
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p, m in FIELDS if p ** m <= 64])
+def test_field_tables_match_sympy(p, m):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_from_int_poly, gf_mul, gf_rem
+    F = FiniteField(p, m)
+    modulus = [int(c) for c in reversed(F.modulus)]
+
+    def poly(a):   # index -> GF(p)[x], high degree first
+        return gf_from_int_poly([a // p ** j % p for j in reversed(range(m))], p)
+
+    def index(f):
+        return sum(int(c) * p ** j for j, c in enumerate(reversed(f)))
+
+    for a in range(F.q):
+        for b in range(F.q):
+            want = index(gf_rem(gf_mul(poly(a), poly(b), p, ZZ), modulus, p, ZZ))
+            assert F.mul_table[a, b] == want, (a, b)
+    assert list(F.log_table[F.exp_table]) == list(range(F.q - 1))
+    assert list(F.exp_table[F.log_table[1:]]) == list(range(1, F.q))
+    assert not F.mul_table.flags.writeable and not F.add_table.flags.writeable
 
 
 def test_field_arithmetic_axioms():
@@ -137,6 +165,14 @@ def test_affine_symmetry_and_tensor(corpus):
         for r in cfg.nondiagonal_colors:
             assert cfg.tensor[r, r, cfg.identity_color] == q - 1
             assert cfg.tensor[r, r, r] == q - 2
+
+
+@pytest.mark.parametrize("dim,q", [(2, 2), (2, 4), (2, 5), (3, 3), (2, 9),
+                                   (3, 4), (4, 2)])
+def test_affine_scheme_matches_per_pair_loop(dim, q):
+    field = FiniteField(*constructors.factor_prime_power(q))
+    expected = oracles.affine_colors_naive(field, dim)
+    assert np.array_equal(constructors.affine_scheme(dim, q).colors, expected)
 
 
 def _ag23_lines():
@@ -257,3 +293,40 @@ def test_cyclotomic_over_extension_field():
     c16 = constructors.cyclotomic_scheme(F16, 5)
     assert (c16.n, c16.rank) == (16, 4)
     assert cc_core.is_pseudocyclic_combinatorial(c16) == 5
+
+
+# sha256 prefixes of cli.dump_scheme, recorded from the per-pair Python
+# affine loop and the polynomial-arithmetic field this table-built field
+# replaced; perfbench's pinned files cover the other families.
+GOLDEN = [
+    (lambda: constructors.affine_scheme(2, 16), "7c6536b2b507f66d"),
+    (lambda: constructors.affine_scheme(2, 19), "6be9c9030a875ec7"),
+    (lambda: constructors.affine_scheme(3, 7), "627d8c66ddf3e650"),
+    (lambda: constructors.affine_scheme(8, 2), "201cb952ca185738"),
+    (lambda: constructors.cyclotomic_scheme(FiniteField(3, 2), 2), "3f3a57e5ef4270c2"),
+    (lambda: constructors.cyclotomic_scheme(FiniteField(2, 4), 5), "82064517689665f8"),
+    (lambda: constructors.cyclotomic_scheme(FiniteField(3, 3), 13), "4fde35162400d424"),
+    (lambda: constructors.cyclotomic_scheme(FiniteField(2, 8), 3), "955883f4808c22f5"),
+    (lambda: constructors.passman_scheme(7), "75308817e682e984"),
+    (lambda: constructors.passman_scheme(9), "3ea575b16bf881cf"),
+]
+
+
+@pytest.mark.parametrize("build,digest", GOLDEN)
+def test_golden_constructions(build, digest):
+    assert hashlib.sha256(cli.dump_scheme(build())).hexdigest()[:16] == digest
+
+
+def test_regular_scheme_associativity_check_stays_quadratic():
+    # the check compares one (m, m) slice per a, never two (m, m, m) arrays
+    cfg, peak = oracles.traced_peak(
+        constructors.regular_scheme, constructors.cyclic_group_table(300))
+    assert cfg.rank == 300
+    assert peak < 32 * 2 ** 20
+
+
+def test_field_over_the_point_cap_raises_before_building_tables():
+    assert FiniteField(499).q == 499
+    for p, m in ((503, 1), (1009, 1), (2, 9), (23, 2), (10 ** 18, 1), (2, 10 ** 9)):
+        with pytest.raises(TooLarge):
+            FiniteField(p, m)
