@@ -331,9 +331,16 @@ def recognize_affine(cfg):
 
 @dataclass
 class Design:
-    """Point set with a block multiset, tested against 2-(n, k, k-1)."""
+    """Point set with the blocks alpha·s, tested against 2-(n, k, k-1).
+
+    Row alpha of ``blocks`` (read-only, n x (n - 1)) holds every point but
+    alpha, grouped by its color from alpha in ascending order of the
+    non-diagonal colors; the consecutive runs of ``block_sizes`` (the
+    valencies of those colors) are the blocks alpha·s, n * len(block_sizes)
+    blocks in all."""
     n: int
-    blocks: tuple
+    blocks: np.ndarray
+    block_sizes: tuple
     params: tuple          # (n, k, lambda) claimed, k = scheme valency
     valid: bool
     coverage: tuple        # (min, max) pair coverage observed
@@ -349,25 +356,27 @@ def design_from_scheme(cfg):
     alpha == x makes C[alpha, x] diagonal."""
     _require_scheme(cfg)
     n = cfg.n
-    C = cfg.colors
     # every row of a scheme holds each color s on valencies[s] points, so
-    # one stable sort per row lists the blocks of that row in color order
-    bounds = np.concatenate(([0], np.cumsum(cfg.valencies))).tolist()
-    nondiag = cfg.nondiagonal_colors
-    blocks = tuple(tuple(row[bounds[s]:bounds[s + 1]])
-                   for row in np.argsort(C, axis=1, kind="stable").tolist()
-                   for s in nondiag)
-    sizes = {int(cfg.valencies[s]) for s in nondiag}
-    columns = np.ascontiguousarray(C.T)
+    # one stable sort per row lists the blocks of that row in color order,
+    # with the diagonal cell at the same place in every row
+    narrow = cc_core._narrow_copy(cfg.colors, cfg.rank)
+    order = np.argsort(narrow, axis=1, kind="stable")
+    blocks = np.delete(order, int(cfg.valencies[:cfg.identity_color].sum()), axis=1)
+    blocks.setflags(write=False)
+    del order
+    sizes = tuple(int(cfg.valencies[s]) for s in cfg.nondiagonal_colors)
+    columns = np.ascontiguousarray(narrow.T)
+    del narrow
     covs = set()
     for x in range(n - 1):
         covs.update(np.unique((columns[x + 1:] == columns[x]).sum(axis=1)).tolist())
     cmin, cmax = (min(covs), max(covs)) if covs else (0, 0)
-    k = sizes.pop() if len(sizes) == 1 else None
+    k = sizes[0] if sizes and len(set(sizes)) == 1 else None
     valid = (k is not None and covs == {k - 1})
     return Design(
         n=n,
         blocks=blocks,
+        block_sizes=sizes,
         params=(n, k, (k - 1) if k is not None else None),
         valid=valid,
         coverage=(cmin, cmax))

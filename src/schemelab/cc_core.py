@@ -47,14 +47,22 @@ from .errors import (
 )
 
 TENSOR_BUILD_CELLS = 1 << 16    # cells of ``ref`` packed per step of the tensor build
+FIRST_CELLS_BLOCK = 1 << 16     # cells scanned per step of ``first_cells``
 
 
 def first_cells(ids):
     """The row-major flat index of the first cell of each id 0..max(ids) of
-    an integer matrix; ids that do not occur get ids.size."""
+    an integer matrix; ids that do not occur get ids.size.
+
+    The cells are scanned a block at a time, and the scan stops once every
+    id has been seen, so no index array of the matrix's size is made."""
     flat = ids.ravel()
     first = np.full(int(flat.max()) + 1, flat.size, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int64))
+    for lo in range(0, flat.size, FIRST_CELLS_BLOCK):
+        block = flat[lo:lo + FIRST_CELLS_BLOCK]
+        np.minimum.at(first, block, np.arange(lo, lo + block.size, dtype=np.int64))
+        if first.max() < flat.size:
+            break
     return first
 
 
@@ -207,10 +215,18 @@ def _require_scheme(cfg):
         raise NotAScheme(f"configuration has {len(cfg.fibers)} fibers")
 
 
+def _narrow_copy(colors, r):
+    """A copy of a color matrix with ids 0..r-1 in the narrowest integer
+    type that holds them."""
+    dtype = np.uint8 if r <= 1 << 8 else np.uint16 if r <= 1 << 16 else np.int32
+    return np.array(colors, dtype=dtype, order="C")
+
+
 def _code_matrix(colors, r):
     """The transposed color matrix, in the narrowest integer type that holds
-    every composition code u*r + s < r^2."""
-    dtype = np.int32 if r * r <= 2**31 else np.int64
+    every composition code u*r + s <= r^2 - 1."""
+    dtype = (np.uint16 if r * r <= 1 << 16 else
+             np.int32 if r * r <= 1 << 31 else np.int64)
     return np.ascontiguousarray(colors.T, dtype=dtype)
 
 
@@ -310,22 +326,33 @@ def _weisfeiler_leman(colors):
     Weisfeiler-Leman refinement.
 
     Each round recolors every pair by its old color and its composition
-    multiset.  Multisets are grouped by fingerprint, then every class is
-    verified exactly against its reference signature; a class holding two
-    multisets (a fingerprint collision) sends the round to exact raw-byte
-    grouping.  The round that verifies and leaves the coloring unchanged
-    has already proved S3, so its references give the tensor.
+    multiset.  Multisets are grouped by fingerprint, so a round may merge
+    two multisets (a collision) but never splits one.  Only the round whose
+    fingerprint leaves the coloring unchanged is verified exactly, every
+    class against its reference signature; a collision there sends that
+    round to exact raw-byte grouping, and refinement goes on.
+
+    Why one verify suffices.  Refinement is monotone: if a coloring c is
+    coarser than or equal to d, the refinement of c is coarser than or
+    equal to that of d (Weisfeiler and Leman, 1968).  Let W be the closure
+    of the input, which is its own refinement.  Fingerprint classes are
+    unions of exact classes, so by induction every coloring met, verified
+    or not, is coarser than or equal to W.  The final coloring refines the
+    input and passed the exact S3 check, so it is coherent and, W being
+    the coarsest such, at least as fine as W.  It is therefore W, and as
+    both carry first-occurrence ids, with the same ids.  Its references
+    have proved S3, so they give the tensor.
     """
     colors = canonicalize_colors(colors)
     r = int(colors.max()) + 1
     while True:
         new = _fingerprint_classes(colors, r)
-        ref, _, bad = _verify_classes(colors, r, new)
-        if bad is None and int(new.max()) + 1 == r:
-            return _checked_config(colors, r, ref)
-        # this round's references die before the next round allocates its own
-        del ref
-        if bad is not None:
+        if int(new.max()) + 1 == r:
+            # the fingerprint stopped refining, so new == colors
+            ref, _, bad = _verify_classes(colors, r, colors)
+            if bad is None:
+                return _checked_config(colors, r, ref)
+            del ref
             new = _exact_regroup(colors, r)
         colors, r = new, int(new.max()) + 1
 
@@ -339,7 +366,7 @@ def validate_config(matrix, *, canonicalize=True):
     the intersection tensor is built on first read.  With ``canonicalize``
     the ids are first relabeled to row-major first-occurrence order.
     """
-    colors = np.array(matrix, dtype=np.int64)
+    colors = np.asarray(matrix, dtype=np.int64)
     if colors.ndim != 2 or colors.shape[0] != colors.shape[1]:
         raise ValueError("color matrix must be square")
     n = colors.shape[0]
@@ -350,14 +377,17 @@ def validate_config(matrix, *, canonicalize=True):
     r = int(colors.max()) + 1
     if np.bincount(colors.ravel(), minlength=r).min() == 0:
         raise ValueError("relation ids must be contiguous from 0")
-    if canonicalize:
-        colors = canonicalize_colors(colors)
+    # either way a fresh array, so the caller's matrix is never frozen
+    colors = canonicalize_colors(colors) if canonicalize else colors.copy()
     return _checked_config(colors, r)
 
 
 def _checked_config(colors, r, ref=None):
     """Check S1, S2, fibers and valencies, then S3 unless ``ref`` already
-    holds the verified reference signatures of every color."""
+    holds the verified reference signatures of every color.
+
+    Every check past S1 reads one copy of the colors in the narrowest
+    integer type (``_narrow_copy``), so no n^2 temporary is wider than it."""
     n = colors.shape[0]
     # The packed tensor build needs every key*(n+1) + count below 2^63.
     if r ** 3 * (n + 1) >= 2 ** 63:
@@ -375,16 +405,15 @@ def _checked_config(colors, r, ref=None):
             f"{int(total_counts[s] - diag_counts[s])} off-diagonal pairs")
     diagonal_colors = tuple(int(d) for d in np.flatnonzero(diag_counts > 0))
 
-    # S2: the transpose of each color is a single color.
-    pair_codes = np.unique(colors.ravel() * np.int64(r) + colors.T.ravel())
-    if pair_codes.size != r:
-        c_of = pair_codes // r
-        dup = int(c_of[np.flatnonzero(c_of[1:] == c_of[:-1])[0]])
-        parts = pair_codes[c_of == dup] % r
-        raise AxiomS2Violated(
-            f"transpose of color {dup} is split across colors {parts.tolist()}")
-    star = np.empty(r, dtype=np.int64)
-    star[pair_codes // r] = pair_codes % r
+    # S2: the transpose of each color is a single color.  star[s] is the
+    # color at the transpose of the first cell of s, and every cell of s
+    # must have it at its transpose.
+    work = _narrow_copy(colors, r)
+    first = first_cells(work)
+    star = work[first % n, first // n]
+    if not (star[work] == work.T).all():
+        raise _split_transpose(colors, r)
+    star = star.astype(np.int64)
     if not np.array_equal(star[star], np.arange(r)):
         raise AxiomS2Violated("star map is not an involution")
 
@@ -393,12 +422,16 @@ def _checked_config(colors, r, ref=None):
     point_fiber = np.array([fiber_of_diag[int(d)] for d in diag], dtype=np.int64)
     nf = len(diagonal_colors)
     fibers = tuple(np.flatnonzero(diag == d) for d in diagonal_colors)
-    relation_source = _relation_fibers(colors, point_fiber, nf, r, axis=0)
-    relation_target = _relation_fibers(colors, point_fiber, nf, r, axis=1)
+    if nf == 1:
+        relation_source = np.zeros(r, dtype=np.int64)
+        relation_target = np.zeros(r, dtype=np.int64)
+    else:
+        relation_source = _relation_fibers(work, point_fiber, nf, r, axis=0)
+        relation_target = _relation_fibers(work, point_fiber, nf, r, axis=1)
 
     # Valencies: |alpha·s| constant over the source fiber (a special case of
     # S3 with the triple (s, s*, 1_fiber), checked here for a sharper error).
-    valencies, s = _source_valencies(colors, fibers, relation_source, total_counts)
+    valencies, s = _source_valencies(work, fibers, relation_source, total_counts)
     if s is not None:
         members = fibers[relation_source[s]]
         column = np.count_nonzero(colors[members] == s, axis=1)
@@ -415,12 +448,12 @@ def _checked_config(colors, r, ref=None):
     # row-major first occurrence of every color, so an error names the first
     # deviating pair and the first pair of its color, the same on every run.
     if ref is None:
-        ref, first_cell, bad = _verify_classes(colors, r, colors)
+        ref, first_cell, bad = _verify_classes(work, r, work)
         if bad is not None:
             alpha, gamma = bad
             t = int(colors[alpha, gamma])
             t_row, t_col = divmod(int(first_cell[t]), n)
-            sig = _row_signatures(_code_matrix(colors, r), alpha, r)[gamma]
+            sig = _row_signatures(_code_matrix(work, r), alpha, r)[gamma]
             code, c1, c2 = _first_multiset_difference(sig, ref[t])
             rr, ss = divmod(code, r)
             raise AxiomS3Violated(
@@ -432,6 +465,17 @@ def _checked_config(colors, r, ref=None):
 
     return CoherentConfig(colors, star, diagonal_colors, fibers, point_fiber,
                           relation_source, relation_target, valencies, ref)
+
+
+def _split_transpose(colors, r):
+    """The S2 error naming the first color whose transpose is split, and
+    the colors it is split across."""
+    pair_codes = np.unique(colors.ravel() * np.int64(r) + colors.T.ravel())
+    c_of = pair_codes // r
+    dup = int(c_of[np.flatnonzero(c_of[1:] == c_of[:-1])[0]])
+    parts = pair_codes[c_of == dup] % r
+    return AxiomS2Violated(
+        f"transpose of color {dup} is split across colors {parts.tolist()}")
 
 
 def _row_runs(rows):
@@ -491,7 +535,8 @@ def _tensor_from_signatures(ref, r):
 
 
 def _relation_fibers(colors, point_fiber, nf, r, axis):
-    """Fiber index of every relation on the given side; raises if mixed."""
+    """Fiber index of every relation on the given side, for nf > 1 fibers;
+    raises if mixed."""
     if axis == 0:
         codes = colors * np.int64(nf) + point_fiber[:, None]
     else:

@@ -62,7 +62,8 @@ def load_scheme(path):
             payload = json.loads(handle.read().decode())
         n = int(payload["n"])
         rank = int(payload["rank"])
-        colors = np.array(payload["colors"], dtype=np.int64).reshape(n, n)
+        # the parsed list is dropped here, before validation allocates
+        colors = np.array(payload.pop("colors"), dtype=np.int64).reshape(n, n)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise SchemeFileError(f"cannot read scheme file {path}: {exc}") from exc
     cfg = cc_core.validate_config(colors, canonicalize=False)
@@ -77,8 +78,8 @@ def _float12(x):
 
 
 def _read_int_rows(path):
-    """The integer rows of a Cayley table or plane file; '#' starts a
-    comment and blank lines are skipped."""
+    """The integer rows of a Cayley table, plane or generator file; '#'
+    starts a comment and blank lines are skipped."""
     rows = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -86,6 +87,16 @@ def _read_int_rows(path):
             if line:
                 rows.append([int(tok) for tok in line.split()])
     return rows
+
+
+def _load_generators(path):
+    """One permutation per line in image notation; '#' starts a comment."""
+    gens = [tuple(row) for row in _read_int_rows(path)]
+    for g in gens:
+        permgroup.check_permutation(g)
+    if gens and len({len(g) for g in gens}) != 1:
+        raise ValueError("generators have unequal degrees")
+    return gens
 
 
 def _load_plane_lines(path):
@@ -144,7 +155,7 @@ def _construct(args):
         cfg = constructors.regular_scheme(_read_int_rows(args.table))
         meta.update(table=args.table)
     elif family == "group-orbitals":
-        gens = permgroup.load_generators(args.generators)
+        gens = _load_generators(args.generators)
         constructors.check_point_cap(len(gens[0]) if gens else args.degree or 0)
         G = permgroup.group_closure(gens, n=args.degree)
         cfg = permgroup.orbital_scheme(G)
@@ -291,9 +302,9 @@ def _check(args):
         n, k, lam = design.params
         report["params"] = [n, k, lam]
         report["valid"] = design.valid
-        report["blocks"] = len(design.blocks)
+        report["blocks"] = n * len(design.block_sizes)
         text = (f"2-({n},{k},{lam}): {'valid' if design.valid else 'invalid'}; "
-                f"{len(design.blocks)} blocks")
+                f"{report['blocks']} blocks")
     else:  # pragma: no cover
         raise ValueError(f"unknown property {prop}")
     if args.json:

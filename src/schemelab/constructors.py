@@ -111,7 +111,11 @@ class FiniteField:
         """The first monic f of degree m, in numeric order of its lower
         coefficients, for which GF(p)[x]/(f) has no zero divisors, and that
         ring's multiplication table.  A finite ring without zero divisors
-        is a field, so f is the first irreducible; for m = 1 it is x."""
+        is a field, so f is the first irreducible; for m = 1 it is x.
+
+        A reducible f has a monic factor g of degree at most m/2, a zero
+        divisor below p^(m//2 + 1), so each candidate is screened on those
+        rows of its table before the whole table is built."""
         p, m, q = self.p, self.m, self.q
         add = self.add_table
         # scalar[c, a] = ca for c in GF(p)
@@ -123,17 +127,25 @@ class FiniteField:
             candidates = np.flatnonzero(values.all(axis=1))
         b = np.arange(q)
         top = p ** (m - 1)
-        for code in candidates:
+
+        def products(code, rows):
+            """Rows 0..rows-1 of the multiplication table mod the candidate."""
             # xb: the digits of b shifted up, x^m reduced to
             # -(f_0 + f_1 x + ... + f_(m-1) x^(m-1))
             times_x = add[b % top * p, scalar[-(b // top) % p, code]]
-            mul = scalar[digits[:, 0]]
+            mul = scalar[digits[:rows, 0]]
             xb = b
             for j in range(1, m):   # ab = sum_j a_j (x^j b)
                 xb = times_x[xb]
-                mul = add[mul, scalar[digits[:, j, None], xb]]
-            if mul[1:, 1:].all():
-                return tuple(int(c) for c in digits[code]) + (1,), mul
+                mul = add[mul, scalar[digits[:rows, j, None], xb]]
+            return mul
+
+        screen = min(q, p ** (m // 2 + 1))
+        for code in candidates:
+            if products(code, screen)[1:, 1:].all():
+                mul = products(code, q)
+                if mul[1:, 1:].all():
+                    return tuple(int(c) for c in digits[code]) + (1,), mul
         raise ConstructionFailed("no irreducible polynomial found")  # pragma: no cover
 
     # -- arithmetic -------------------------------------------------------

@@ -65,19 +65,6 @@ def parse_permutation(text):
     return p
 
 
-def load_generators(path):
-    """Read one permutation per line; '#' starts a comment."""
-    gens = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                gens.append(parse_permutation(line))
-    if gens and len({len(g) for g in gens}) != 1:
-        raise ValueError("generators have unequal degrees")
-    return gens
-
-
 def _orbit(alpha, gens):
     """The set of points that products of ``gens`` send alpha to."""
     seen = {alpha}

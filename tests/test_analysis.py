@@ -338,16 +338,32 @@ def test_recognize_affine(corpus, c13k3):
         analysis.recognize_affine(corpus["ag-2-3"])
 
 
+def _split_blocks(design):
+    """The blocks alpha·s of a design, one tuple each, alpha-major."""
+    cuts = np.cumsum(design.block_sizes)[:-1]
+    return [tuple(b.tolist()) for row in design.blocks for b in np.split(row, cuts)]
+
+
 def test_design_extraction(c13k3, ag23, dihedral4):
     d = analysis.design_from_scheme(c13k3)
     assert d.params == (13, 3, 2) and d.valid
-    assert len(d.blocks) == 52
-    assert oracles.pair_coverage(d.blocks, 13) == {2}
+    assert len(_split_blocks(d)) == 52
+    assert oracles.pair_coverage(_split_blocks(d), 13) == {2}
     d2 = analysis.design_from_scheme(ag23)
     assert d2.params == (9, 2, 1) and d2.valid
-    assert oracles.pair_coverage(d2.blocks, 9) == {1}
+    assert oracles.pair_coverage(_split_blocks(d2), 9) == {1}
     d3 = analysis.design_from_scheme(dihedral4)
     assert not d3.valid
+
+
+def test_design_peak_memory_at_c499k6():
+    # 41 417 blocks as Python tuples took 9.68 MiB; as one array of the
+    # sorted rows they take one (n, n - 1) int array
+    cfg = constructors.cyclotomic_scheme(constructors.FiniteField(499), 6)
+    d, peak = oracles.traced_peak(analysis.design_from_scheme, cfg)
+    assert d.valid and d.params == (499, 6, 5)
+    assert d.n * len(d.block_sizes) == 41417
+    assert peak <= 6 * 2**20
 
 
 def test_design_validity_iff_pseudocyclic(corpus):
@@ -365,12 +381,22 @@ def test_design_validity_iff_pseudocyclic(corpus):
 
 def test_design_matches_block_and_coverage_oracles(corpus):
     schemes = [cfg for cfg in corpus.values() if cfg.is_scheme]
-    for cfg in schemes + [constructors.hollman_scheme(16)]:
+    # c13k3 with its colors 0 and 2 swapped: the diagonal color is 2
+    c13 = corpus["cyclotomic-13-k3"].colors
+    swapped = cc_core.validate_config(np.choose(c13, [2, 1, 0, 3, 4]),
+                                      canonicalize=False)
+    assert swapped.identity_color == 2
+    for cfg in schemes + [constructors.hollman_scheme(16), swapped]:
         design = analysis.design_from_scheme(cfg)
-        assert design.blocks == tuple(
+        assert design.blocks.shape == (cfg.n, cfg.n - 1)
+        assert not design.blocks.flags.writeable
+        assert design.block_sizes == tuple(
+            int(cfg.valencies[s]) for s in cfg.nondiagonal_colors)
+        blocks = _split_blocks(design)
+        assert blocks == [
             tuple(np.flatnonzero(cfg.colors[alpha] == s).tolist())
-            for alpha in range(cfg.n) for s in cfg.nondiagonal_colors)
-        covs = oracles.pair_coverage(design.blocks, cfg.n)
+            for alpha in range(cfg.n) for s in cfg.nondiagonal_colors]
+        covs = oracles.pair_coverage(blocks, cfg.n)
         assert design.coverage == (min(covs), max(covs))
         k = design.params[1]
         assert design.valid == (k is not None and covs == {k - 1})

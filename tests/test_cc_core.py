@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from schemelab import cc_core, extension
+from schemelab import cc_core, constructors, extension
 from schemelab.analysis import ColorBijection
 from schemelab.errors import (
     AxiomS1Violated,
@@ -113,6 +113,66 @@ def test_valency_violation_reports_first_color_and_point():
             cc_core.validate_config(m, canonicalize=False)
         err = info.value
         assert (err.triple, err.pairs, err.counts) == (triple, ((0, 0), (1, 1)), counts)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_narrow_types_at_their_boundaries(n):
+    # the regular scheme of Z_n has rank n: 256 is the last rank with a
+    # uint8 working copy and uint16 codes (r^2 = 65 536), 257 the first
+    # with a uint16 copy and int32 codes
+    cfg = constructors.regular_scheme(constructors.cyclic_group_table(n))
+    C = np.array(cfg.colors)
+    assert cfg.rank == n and C[1, 0] == n - 1
+    narrow = n == 256
+    assert cc_core._narrow_copy(C, n).dtype == (np.uint8 if narrow else np.uint16)
+    assert cc_core._code_matrix(C, n).dtype == (np.uint16 if narrow else np.int32)
+    ref, _, bad = cc_core._verify_classes(C, n, C)
+    assert bad is None
+    keys, counts = oracles.tensor_from_signatures_argsort(ref, n)
+    assert np.array_equal(cfg.tensor._keys, keys)
+    assert np.array_equal(cfg.tensor._counts, counts)
+    # C[a, b] = b - a, so c_{rs}^t = 1 exactly when t = r + s mod n
+    r, s = np.divmod(np.arange(n * n), n)
+    assert np.array_equal(keys, (r * n + s) * n + (r + s) % n)
+    assert (counts == 1).all()
+
+    # one cell: (0, 1) takes color 2, whose other cells have transpose -2
+    m = C.copy()
+    m[0, 1] = 2
+    with pytest.raises(AxiomS2Violated, match=re.escape(
+            f"transpose of color 2 is split across colors [{n - 2}, {n - 1}]")):
+        cc_core.validate_config(m, canonicalize=False)
+    # one pair swapped with its transpose: row 0 holds color 5 nowhere
+    m = C.copy()
+    m[0, 5], m[5, 0] = C[5, 0], C[0, 5]
+    with pytest.raises(AxiomS3Violated, match=re.escape(
+            "valency of color 5 differs between points 0 and 1")) as info:
+        cc_core.validate_config(m, canonicalize=False)
+    err = info.value
+    assert (err.triple, err.pairs, err.counts) == ((5, n - 5, 0), ((0, 0), (1, 1)), (0, 1))
+    if narrow:
+        # switch the intercalate on rows 3, 131 and columns 10, 138 and its
+        # transpose: still a Latin square closed under transposes, so only
+        # the full S3 pass, on uint16 codes, sees it
+        m = C.copy()
+        for x, y in ((3, 10), (10, 3)):
+            rows, cols = [x, x + 128], [y, y + 128]
+            m[np.ix_(rows, cols)] = m[np.ix_(rows, cols[::-1])]
+        with pytest.raises(AxiomS3Violated, match=re.escape(
+                "c[9][121][2] is 1 at pair (1,3) but 0 at pair (0,2)")) as info:
+            cc_core.validate_config(m, canonicalize=False)
+        err = info.value
+        assert (err.triple, err.pairs, err.counts) == ((9, 121, 2), ((1, 3), (0, 2)), (1, 0))
+
+
+def test_validation_peak_memory_at_c499k6():
+    # 499 points, rank 84: the int64 S2 codes, their transpose and sort
+    # copy took 5.78 MiB; the uint8 working copy and uint16 codes leave
+    # the copied int64 colors as the largest part
+    colors = constructors.cyclotomic_scheme(constructors.FiniteField(499), 6).colors
+    cfg, peak = oracles.traced_peak(cc_core.validate_config, colors)
+    assert cfg.rank == 84 and np.array_equal(cfg.colors, colors)
+    assert peak <= 5 * 2**20
 
 
 def test_noncontiguous_ids_rejected():

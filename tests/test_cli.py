@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from schemelab import cc_core, cli
+from schemelab import cc_core, cli, permgroup
 from schemelab.errors import SchemeFileError
 
 
@@ -69,6 +70,20 @@ def test_construct_regular_and_orbitals(tmp_path, capsys):
                str(gens), "-o", str(out2))[0] == 0
     cfg2, _ = cli.load_scheme(out2)
     assert cfg2.rank == 3
+
+
+def test_generator_file(tmp_path):
+    path = tmp_path / "gens.txt"
+    path.write_text("# rotation\n1 2 0\n\n0 2 1  # swap\n")
+    gens = cli._load_generators(path)
+    assert gens == [(1, 2, 0), (0, 2, 1)]
+    assert permgroup.group_closure(gens).order == 6
+    for text, message in (("0 0 1\n", "not a permutation of 0..2: (0, 0, 1)"),
+                          ("1 0\n0 2 1\n", "generators have unequal degrees"),
+                          ("0 x 1\n", "invalid literal for int()")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli._load_generators(path)
 
 
 def test_construct_affine_plane(tmp_path, capsys):

@@ -291,6 +291,53 @@ def test_fingerprint_collisions_fall_back_to_exact_grouping(
     assert regroups
 
 
+def test_closure_verifies_only_its_final_round(monkeypatch, c67k2):
+    calls = []
+    verify = cc_core._verify_classes
+
+    def spy(colors, r, classes):
+        calls.append(r)
+        return verify(colors, r, classes)
+
+    monkeypatch.setattr(cc_core, "_verify_classes", spy)
+    c199k3 = constructors.cyclotomic_scheme(constructors.FiniteField(199), 3)
+    for cfg, rank in ((c67k2, 2245), (c199k3, 13201)):
+        calls.clear()
+        ext = extension.coherent_closure(cfg, {0})
+        # no collision: one exact S3 pass, on the final coloring
+        assert ext.rank == rank and calls == [rank]
+
+
+def test_collision_in_an_unverified_round_leaves_the_closure_exact(
+        monkeypatch, ag23, c13k3):
+    import oracles
+    fingerprint = cc_core._fingerprint_classes
+    merged = []
+
+    def collide_once(colors, r):
+        new = fingerprint(colors, r)
+        if not merged:
+            # a collision merges two classes of one old color; merge the
+            # first two that share one
+            old = cc_core.first_cells(new)
+            parent = colors.ravel()[old]
+            for b in range(1, old.size):
+                a = np.flatnonzero(parent[:b] == parent[b])
+                if a.size:
+                    merged.append((int(a[0]), b))
+                    new = cc_core.canonicalize_colors(np.where(new == b, a[0], new))
+                    break
+        return new
+
+    monkeypatch.setattr(cc_core, "_fingerprint_classes", collide_once)
+    for cfg, dist in ((ag23, (0,)), (c13k3, (0,)), (c13k3, (0, 5))):
+        merged.clear()
+        ours = extension.coherent_closure(cfg, dist)
+        assert merged, (cfg, dist)
+        naive = np.array(oracles.wl_closure_naive(cfg.colors.tolist(), dist))
+        assert np.array_equal(ours.colors, cc_core.canonicalize_colors(naive))
+
+
 def test_explicit_extension_composition_branch(c151k3):
     # 50 of the 51^2 blocks have |u*v| < k = 3 and must be assembled by
     # composing matchings through a splitting relation

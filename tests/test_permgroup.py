@@ -23,14 +23,6 @@ def test_compose_inverse_roundtrip():
         permgroup.parse_permutation("0 0 1")
 
 
-def test_generator_file(tmp_path):
-    path = tmp_path / "gens.txt"
-    path.write_text("# rotation\n1 2 0\n\n0 2 1  # swap\n")
-    gens = permgroup.load_generators(path)
-    assert gens == [(1, 2, 0), (0, 2, 1)]
-    assert permgroup.group_closure(gens).order == 6
-
-
 def test_closure_orders():
     assert permgroup.group_closure([(1, 2, 0)]).order == 3
     assert permgroup.group_closure([], n=4).order == 1
