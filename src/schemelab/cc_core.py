@@ -26,11 +26,13 @@ Conventions:
 * S3 and the Weisfeiler-Leman closure share one kernel: the sorted
   composition codes color(a,b)*r + color(b,g) of one row of pairs
   (``_row_signatures``), checked class by class against the signature of
-  each class's first pair (``_verify_classes``).  The tensor is read off
-  those reference signatures, built on first read: S1-S3 are checked when
-  the configuration is made, but a caller that never reads the tensor (a
-  one-point extension asked only for its rank and fibers) never pays for
-  its packed sort, and holds the (rank, n) references instead.
+  each class's first pair (``_verify_classes``), one fiber at a time, so
+  only the references of the current fiber's classes are alive.  S1-S3
+  are checked when the configuration is made, and it keeps no reference
+  signatures.  The tensor is built on first read: the references are
+  rebuilt from one row signature per fiber (``_reference_signatures``) and
+  packed, so a caller that never reads the tensor (a one-point extension
+  asked only for its rank and fibers) pays for neither.
 """
 
 from __future__ import annotations
@@ -139,12 +141,12 @@ class CoherentConfig:
     point_fiber : length-n array of fiber indices
     relation_source, relation_target : length-r arrays of fiber indices
     valencies : length-r array, n_s per relation (per source fiber)
-    tensor : IntersectionTensor, built on first read from the verified
-        reference signatures ``ref``, which are then dropped
+    tensor : IntersectionTensor, built on first read from the reference
+        signatures of the colors (``_reference_signatures``)
     """
 
     def __init__(self, colors, star, diagonal_colors, fibers, point_fiber,
-                 relation_source, relation_target, valencies, ref):
+                 relation_source, relation_target, valencies):
         self.colors = colors
         self.star = star
         self.diagonal_colors = diagonal_colors
@@ -153,7 +155,6 @@ class CoherentConfig:
         self.relation_source = relation_source
         self.relation_target = relation_target
         self.valencies = valencies
-        self._ref = ref
         self._tensor = None
         for arr in (colors, star, point_fiber, relation_source,
                     relation_target, valencies):
@@ -162,8 +163,8 @@ class CoherentConfig:
     @property
     def tensor(self):
         if self._tensor is None:
-            self._tensor = _tensor_from_signatures(self._ref, self.rank)
-            self._ref = None
+            self._tensor = _tensor_from_signatures(
+                _reference_signatures(self), self.rank)
         return self._tensor
 
     @property
@@ -222,49 +223,85 @@ def _narrow_copy(colors, r):
     return np.array(colors, dtype=dtype, order="C")
 
 
+def _code_dtype(r):
+    """The narrowest integer type that holds every composition code
+    u*r + s <= r^2 - 1."""
+    return (np.uint16 if r * r <= 1 << 16 else
+            np.int32 if r * r <= 1 << 31 else np.int64)
+
+
 def _code_matrix(colors, r):
-    """The transposed color matrix, in the narrowest integer type that holds
-    every composition code u*r + s <= r^2 - 1."""
-    dtype = (np.uint16 if r * r <= 1 << 16 else
-             np.int32 if r * r <= 1 << 31 else np.int64)
-    return np.ascontiguousarray(colors.T, dtype=dtype)
+    """The transposed color matrix, in the code type ``_code_dtype(r)``."""
+    return np.ascontiguousarray(colors.T, dtype=_code_dtype(r))
 
 
-def _row_signatures(colors_t, alpha, r):
-    """Sorted composition codes of every pair (alpha, gamma); row gamma holds
-    the multiset {color(alpha,beta)*r + color(beta,gamma) : beta}.
-    ``colors_t`` comes from ``_code_matrix``."""
-    code = colors_t[:, alpha] * colors_t.dtype.type(r) + colors_t
+def _row_signatures(colors_t, row, r):
+    """Sorted composition codes of pairs (alpha, gamma) of one row: ``row``
+    holds color(alpha, beta) over beta, and row i of ``colors_t`` (from
+    ``_code_matrix``) color(beta, gamma) for the i-th gamma, so row i of the
+    result holds the multiset {color(alpha,beta)*r + color(beta,gamma) : beta}."""
+    code = row.astype(colors_t.dtype) * colors_t.dtype.type(r) + colors_t
     code.sort(axis=1)
     return code
 
 
-def _verify_classes(colors, r, classes):
-    """Check that all pairs of each class have one composition multiset.
+def _verify_classes(colors, r):
+    """Check that all pairs of each color have one composition multiset.
 
-    Codes are taken in ``colors`` (r colors); ``classes`` partitions the
-    pairs into ids 0..m-1.  The reference of a class is the signature of its
-    first pair in row-major order.  Returns (ref, first_cell, bad): the
-    (m, n) reference signatures, the flat index of every reference pair, and
-    the first pair (alpha, gamma) in row-major order whose signature differs
-    from its reference, or None.  When ``bad`` is set, only the references
-    of classes met before it are filled in.
+    Codes are taken in ``colors`` (r colors), which must satisfy S1.  The
+    reference of a color is the signature of its first pair in row-major
+    order.  The rows are walked one fiber at a time (points grouped by
+    diagonal color, ascending within each), and only the references of the
+    colors whose first pair lies in the current fiber are held.  A color met
+    in the rows of another fiber fails there, as it would against its
+    reference: under S1 the signature of (alpha, gamma) holds the code
+    color(alpha, alpha)*r + color(alpha, gamma), and no pair of another
+    fiber's rows has it.  Returns (first_cell, bad): the flat index of every
+    reference pair, and the first pair (alpha, gamma) in row-major order
+    whose signature differs from its reference, or None.
     """
     n = colors.shape[0]
     colors_t = _code_matrix(colors, r)
-    first_cell = first_cells(classes)
-    m = first_cell.size
+    first_cell = first_cells(colors)
     by_first = np.argsort(first_cell)
     row_start = np.searchsorted(first_cell[by_first], np.arange(n + 1) * n)
-    ref = np.empty((m, n), dtype=colors_t.dtype)
-    for alpha in range(n):
-        sig = _row_signatures(colors_t, alpha, r)
-        opened = by_first[row_start[alpha]:row_start[alpha + 1]]
-        ref[opened] = sig[first_cell[opened] % n]
-        ok = (sig == ref[classes[alpha]]).all(axis=1)
-        if not ok.all():
-            return ref, first_cell, (alpha, int(np.flatnonzero(~ok)[0]))
-    return ref, first_cell, None
+    diag = colors.diagonal()
+    first_diag = diag[first_cell // n]
+    bad = None
+    for d in np.flatnonzero(np.bincount(diag)):
+        mine = first_diag == d
+        slot = np.cumsum(mine) - 1      # the row of ``ref`` of each color of the fiber
+        ref = np.empty((int(slot[-1]) + 1, n), dtype=colors_t.dtype)
+        for alpha in np.flatnonzero(diag == d):
+            if bad is not None and alpha > bad[0]:
+                break
+            row = colors[alpha]
+            sig = _row_signatures(colors_t, row, r)
+            opened = by_first[row_start[alpha]:row_start[alpha + 1]]
+            ref[slot[opened]] = sig[first_cell[opened] % n]
+            ok = (sig == ref[slot[row]]).all(axis=1) & mine[row]
+            if not ok.all():
+                bad = (int(alpha), int(np.flatnonzero(~ok)[0]))
+                break
+    return first_cell, bad
+
+
+def _reference_signatures(cfg):
+    """The (rank, n) reference signatures of a configuration: row t holds
+    the sorted composition codes of the row-major first pair of color t.
+
+    That pair lies in the row of the first point alpha of the source fiber
+    of t, since every point of that fiber has a pair of t; so per fiber,
+    the codes of row alpha at the first column of each of its colors give
+    them all, and no n x n temporary is made."""
+    n, r, colors = cfg.n, cfg.rank, cfg.colors
+    ref = np.empty((r, n), dtype=_code_dtype(r))
+    for points in cfg.fibers:
+        row = colors[points[0]]
+        cols = first_cells(row)     # n for a color absent from the row
+        mine = np.flatnonzero(cols < n)
+        ref[mine] = _row_signatures(_code_matrix(colors[:, cols[mine]], r), row, r)
+    return ref
 
 
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -314,7 +351,7 @@ def _exact_regroup(colors, r):
     mapping = {}
     new = np.empty((n, n), dtype=np.int64)
     for alpha in range(n):
-        sig = _row_signatures(colors_t, alpha, r)
+        sig = _row_signatures(colors_t, colors[alpha], r)
         for gamma in range(n):
             key = (int(colors[alpha, gamma]), sig[gamma].tobytes())
             new[alpha, gamma] = mapping.setdefault(key, len(mapping))
@@ -340,19 +377,20 @@ def _weisfeiler_leman(colors):
     or not, is coarser than or equal to W.  The final coloring refines the
     input and passed the exact S3 check, so it is coherent and, W being
     the coarsest such, at least as fine as W.  It is therefore W, and as
-    both carry first-occurrence ids, with the same ids.  Its references
-    have proved S3, so they give the tensor.
+    both carry first-occurrence ids, with the same ids.  Its S3 check is
+    done, so ``_checked_config`` skips it.
+
+    ``colors`` must refine a coloring that satisfies S1, as every round's
+    coloring then does too; ``_verify_classes`` relies on it.
     """
     colors = canonicalize_colors(colors)
     r = int(colors.max()) + 1
     while True:
         new = _fingerprint_classes(colors, r)
         if int(new.max()) + 1 == r:
-            # the fingerprint stopped refining, so new == colors
-            ref, _, bad = _verify_classes(colors, r, colors)
-            if bad is None:
-                return _checked_config(colors, r, ref)
-            del ref
+            del new     # the fingerprint stopped refining, so new == colors
+            if _verify_classes(colors, r)[1] is None:
+                return _checked_config(colors, r, verified=True)
             new = _exact_regroup(colors, r)
         colors, r = new, int(new.max()) + 1
 
@@ -362,11 +400,18 @@ def validate_config(matrix, *, canonicalize=True):
 
     Checks axioms S1 (diagonal is a union of colors), S2 (transpose-closed)
     and S3 (constant triple counts, verified over all pairs of every
-    relation, not a sample), keeping the reference signatures from which
-    the intersection tensor is built on first read.  With ``canonicalize``
-    the ids are first relabeled to row-major first-occurrence order.
+    relation, not a sample); the intersection tensor is built on first
+    read.  With ``canonicalize`` the ids are first relabeled to row-major
+    first-occurrence order.
     """
     colors = np.asarray(matrix, dtype=np.int64)
+    # either way a fresh array, so the caller's matrix is never frozen
+    return _validated(colors if canonicalize else colors.copy(), canonicalize)
+
+
+def _validated(colors, canonicalize):
+    """``validate_config`` of an int64 matrix that the caller hands over:
+    unless ``canonicalize``, it becomes the configuration's frozen colors."""
     if colors.ndim != 2 or colors.shape[0] != colors.shape[1]:
         raise ValueError("color matrix must be square")
     n = colors.shape[0]
@@ -377,14 +422,14 @@ def validate_config(matrix, *, canonicalize=True):
     r = int(colors.max()) + 1
     if np.bincount(colors.ravel(), minlength=r).min() == 0:
         raise ValueError("relation ids must be contiguous from 0")
-    # either way a fresh array, so the caller's matrix is never frozen
-    colors = canonicalize_colors(colors) if canonicalize else colors.copy()
+    if canonicalize:
+        colors = canonicalize_colors(colors)
     return _checked_config(colors, r)
 
 
-def _checked_config(colors, r, ref=None):
-    """Check S1, S2, fibers and valencies, then S3 unless ``ref`` already
-    holds the verified reference signatures of every color.
+def _checked_config(colors, r, verified=False):
+    """Check S1, S2, fibers and valencies, then S3 unless ``verified``
+    says that it has already passed.
 
     Every check past S1 reads one copy of the colors in the narrowest
     integer type (``_narrow_copy``), so no n^2 temporary is wider than it."""
@@ -417,17 +462,18 @@ def _checked_config(colors, r, ref=None):
     if not np.array_equal(star[star], np.arange(r)):
         raise AxiomS2Violated("star map is not an involution")
 
-    # Fibers, and the source/target fiber of every relation.
+    # Fibers, and the source/target fiber of every relation: every cell of
+    # s must lie in the row fiber of its first cell.  Under S2 the target
+    # of s is then the source of s*.
     fiber_of_diag = {d: i for i, d in enumerate(diagonal_colors)}
     point_fiber = np.array([fiber_of_diag[int(d)] for d in diag], dtype=np.int64)
-    nf = len(diagonal_colors)
     fibers = tuple(np.flatnonzero(diag == d) for d in diagonal_colors)
-    if nf == 1:
-        relation_source = np.zeros(r, dtype=np.int64)
-        relation_target = np.zeros(r, dtype=np.int64)
-    else:
-        relation_source = _relation_fibers(work, point_fiber, nf, r, axis=0)
-        relation_target = _relation_fibers(work, point_fiber, nf, r, axis=1)
+    relation_source = point_fiber[first // n]
+    if len(fibers) > 1:
+        row_fiber = point_fiber.astype(work.dtype)[:, None]
+        if not (relation_source.astype(work.dtype)[work] == row_fiber).all():
+            raise _crossed_source_fibers(work, point_fiber, len(fibers))
+    relation_target = relation_source[star]
 
     # Valencies: |alpha·s| constant over the source fiber (a special case of
     # S3 with the triple (s, s*, 1_fiber), checked here for a sharper error).
@@ -447,14 +493,16 @@ def _checked_config(colors, r, ref=None):
     # be identical for all pairs of each color.  References are pinned at the
     # row-major first occurrence of every color, so an error names the first
     # deviating pair and the first pair of its color, the same on every run.
-    if ref is None:
-        ref, first_cell, bad = _verify_classes(work, r, work)
+    if not verified:
+        first_cell, bad = _verify_classes(work, r)
         if bad is not None:
             alpha, gamma = bad
             t = int(colors[alpha, gamma])
             t_row, t_col = divmod(int(first_cell[t]), n)
-            sig = _row_signatures(_code_matrix(work, r), alpha, r)[gamma]
-            code, c1, c2 = _first_multiset_difference(sig, ref[t])
+            colors_t = _code_matrix(work, r)
+            code, c1, c2 = _first_multiset_difference(
+                _row_signatures(colors_t, work[alpha], r)[gamma],
+                _row_signatures(colors_t, work[t_row], r)[t_col])
             rr, ss = divmod(code, r)
             raise AxiomS3Violated(
                 f"c[{rr}][{ss}][{t}] is {c1} at pair ({alpha},{gamma}) but {c2} at "
@@ -464,7 +512,7 @@ def _checked_config(colors, r, ref=None):
                 counts=(c1, c2))
 
     return CoherentConfig(colors, star, diagonal_colors, fibers, point_fiber,
-                          relation_source, relation_target, valencies, ref)
+                          relation_source, relation_target, valencies)
 
 
 def _split_transpose(colors, r):
@@ -534,25 +582,15 @@ def _tensor_from_signatures(ref, r):
     return IntersectionTensor(r, keys, counts)
 
 
-def _relation_fibers(colors, point_fiber, nf, r, axis):
-    """Fiber index of every relation on the given side, for nf > 1 fibers;
-    raises if mixed."""
-    if axis == 0:
-        codes = colors * np.int64(nf) + point_fiber[:, None]
-    else:
-        codes = colors * np.int64(nf) + point_fiber[None, :]
-    uniq = np.unique(codes.ravel())
-    owners = uniq // nf
-    if uniq.size != r:
-        dup = int(owners[np.flatnonzero(owners[1:] == owners[:-1])[0]])
-        side = "source" if axis == 0 else "target"
-        raise AxiomS3Violated(
-            f"color {dup} crosses {side} fibers "
-            f"{(uniq[owners == dup] % nf).tolist()}",
-            triple=None, pairs=None, counts=None)
-    out = np.empty(r, dtype=np.int64)
-    out[owners] = uniq % nf
-    return out
+def _crossed_source_fibers(colors, point_fiber, nf):
+    """The error naming the first color whose pairs start in more than one
+    of the nf fibers, and those fibers."""
+    codes = np.unique(colors * np.int64(nf) + point_fiber[:, None])
+    owners = codes // nf
+    dup = int(owners[np.flatnonzero(owners[1:] == owners[:-1])[0]])
+    return AxiomS3Violated(
+        f"color {dup} crosses source fibers {(codes[owners == dup] % nf).tolist()}",
+        triple=None, pairs=None, counts=None)
 
 
 def _first_multiset_difference(a, b):

@@ -66,7 +66,8 @@ def load_scheme(path):
         colors = np.array(payload.pop("colors"), dtype=np.int64).reshape(n, n)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise SchemeFileError(f"cannot read scheme file {path}: {exc}") from exc
-    cfg = cc_core.validate_config(colors, canonicalize=False)
+    # the matrix is ours, so the configuration keeps it without a copy
+    cfg = cc_core._validated(colors, canonicalize=False)
     if cfg.rank != rank:
         raise SchemeFileError(
             f"file declares rank {rank} but matrix has {cfg.rank} colors")

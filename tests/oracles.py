@@ -422,6 +422,31 @@ def central_idempotents_naive(cfg, seed=0, tol=1e-8):
     return [blocks[i] for i in [p0] + rest]
 
 
+def verify_classes_all_references(colors, r, classes):
+    """The S3 pass that holds the reference of every class at once: row c
+    of ref holds the sorted composition codes colors(a,b)*r + colors(b,g)
+    of the row-major first pair (a, g) of class c.  Returns (ref,
+    first_cell, bad): the (m, n) int64 references, the flat index of every
+    reference pair, and the first pair in row-major order whose codes
+    differ from its class's reference, or None; when bad is set, only the
+    classes met before it have references."""
+    colors = np.asarray(colors, dtype=np.int64)
+    classes = np.asarray(classes, dtype=np.int64)
+    n = colors.shape[0]
+    flat = classes.ravel()
+    first_cell = np.full(int(flat.max()) + 1, flat.size, dtype=np.int64)
+    np.minimum.at(first_cell, flat, np.arange(flat.size))
+    ref = np.zeros((first_cell.size, n), dtype=np.int64)
+    for alpha in range(n):
+        sig = np.sort(colors[alpha][None, :] * r + colors.T, axis=1)
+        opened = np.flatnonzero(first_cell // n == alpha)
+        ref[opened] = sig[first_cell[opened] % n]
+        ok = (sig == ref[classes[alpha]]).all(axis=1)
+        if not ok.all():
+            return ref, first_cell, (alpha, int(np.flatnonzero(~ok)[0]))
+    return ref, first_cell, None
+
+
 def tensor_from_signatures_argsort(ref, r):
     """The tensor's sorted (keys, counts) read off reference signatures (row
     t holds the sorted composition codes u*r + s of one pair of color t) by

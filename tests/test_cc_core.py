@@ -126,8 +126,8 @@ def test_narrow_types_at_their_boundaries(n):
     narrow = n == 256
     assert cc_core._narrow_copy(C, n).dtype == (np.uint8 if narrow else np.uint16)
     assert cc_core._code_matrix(C, n).dtype == (np.uint16 if narrow else np.int32)
-    ref, _, bad = cc_core._verify_classes(C, n, C)
-    assert bad is None
+    ref = cc_core._reference_signatures(cfg)
+    assert ref.dtype == (np.uint16 if narrow else np.int32)
     keys, counts = oracles.tensor_from_signatures_argsort(ref, n)
     assert np.array_equal(cfg.tensor._keys, keys)
     assert np.array_equal(cfg.tensor._counts, counts)
@@ -270,14 +270,77 @@ def test_packed_tensor_build_matches_argsort_oracle(corpus, c67k2, c151k3, monke
     for cells, cfgs in ((cc_core.TENSOR_BUILD_CELLS, configs), (1, corpus.values())):
         monkeypatch.setattr(cc_core, "TENSOR_BUILD_CELLS", cells)
         for cfg in cfgs:
-            ref, _, bad = cc_core._verify_classes(cfg.colors, cfg.rank, cfg.colors)
+            ref, _, bad = oracles.verify_classes_all_references(
+                cfg.colors, cfg.rank, cfg.colors)
             assert bad is None
             keys, counts = oracles.tensor_from_signatures_argsort(ref, cfg.rank)
-            for T in (cfg.tensor, cc_core._tensor_from_signatures(ref, cfg.rank)):
+            fresh = cc_core._tensor_from_signatures(
+                cc_core._reference_signatures(cfg), cfg.rank)
+            for T in (cfg.tensor, fresh):
                 assert T._keys.dtype == keys.dtype and T._counts.dtype == counts.dtype
                 assert np.array_equal(T._keys, keys) and np.array_equal(T._counts, counts)
                 assert not T._keys.flags.writeable and not T._counts.flags.writeable
             assert cfg.tensor is cfg.tensor
+
+
+def _fiber_corruptions(cfg):
+    """Corruptions of an S1-clean color matrix: a cell of the last point a
+    of the second fiber recolored by another color of that fiber, a cell of
+    the first point b of a later fiber recolored by that same color, and
+    both at once.  b lies between the first point of the second fiber and
+    a, so the fiber walk may find a failure at a before one at b."""
+    C = np.array(cfg.colors)
+    first, a = int(cfg.fibers[1][0]), int(cfg.fibers[1][-1])
+    b = next(int(f[0]) for f in cfg.fibers[2:] if first < f[0] < a)
+    off = np.flatnonzero(C[a] != C[a, a])
+    g = int(off[0])
+    t = C[a, next(x for x in off if C[a, x] != C[a, g])]
+    inside, spread = C.copy(), C.copy()
+    inside[a, g] = t
+    spread[b, np.flatnonzero(C[b] != C[b, b])[0]] = t
+    both = inside.copy()
+    both[b] = spread[b]
+    return inside, spread, both
+
+
+def test_fiber_walk_matches_all_references_oracle(corpus, c67k2, c151k3):
+    # S3 walked one fiber at a time, against the pass that holds every
+    # reference at once: the same first cells and the same first failing
+    # pair in row-major order, in int64 and in the narrow working copy
+    configs = list(corpus.values()) + [extension.explicit_extension(c, 0).config
+                                       for c in (c67k2, c151k3)]
+    for cfg in configs:
+        ref, first_cell, bad = oracles.verify_classes_all_references(
+            cfg.colors, cfg.rank, cfg.colors)
+        for colors in (cfg.colors, cc_core._narrow_copy(cfg.colors, cfg.rank)):
+            ours = cc_core._verify_classes(colors, cfg.rank)
+            assert np.array_equal(ours[0], first_cell) and ours[1] is bad is None
+        # the references rebuilt from one row per fiber are the oracle's
+        rebuilt = cc_core._reference_signatures(cfg)
+        assert rebuilt.dtype == cc_core._code_dtype(cfg.rank)
+        assert np.array_equal(rebuilt, ref)
+    for cfg in configs[-2:]:
+        for m in _fiber_corruptions(cfg):
+            _, first_cell, bad = oracles.verify_classes_all_references(m, cfg.rank, m)
+            assert bad is not None
+            for colors in (m, cc_core._narrow_copy(m, cfg.rank)):
+                ours = cc_core._verify_classes(colors, cfg.rank)
+                assert np.array_equal(ours[0], first_cell) and ours[1] == bad
+
+
+def test_relation_fibers_hold_every_cell_and_crossing_is_named(corpus, c67k2, c151k3):
+    # every cell of s lies in relation_source[s] x relation_target[s]
+    for cfg in list(corpus.values()) + [extension.explicit_extension(c, 0).config
+                                        for c in (c67k2, c151k3)]:
+        assert (cfg.relation_source[cfg.colors] == cfg.point_fiber[:, None]).all()
+        assert (cfg.relation_target[cfg.colors] == cfg.point_fiber[None, :]).all()
+    # S1- and S2-clean: color 2 joins point 0, alone in its fiber, to the
+    # fiber {1, 2}, so its pairs start in both fibers
+    m = [[0, 2, 2], [2, 1, 3], [2, 3, 1]]
+    with pytest.raises(AxiomS3Violated, match=re.escape(
+            "color 2 crosses source fibers [0, 1]")) as info:
+        cc_core.validate_config(m, canonicalize=False)
+    assert info.value.triple is None
 
 
 def test_closure_peak_memory_stays_near_the_tensor(c151k3):
@@ -286,11 +349,11 @@ def test_closure_peak_memory_stays_near_the_tensor(c151k3):
     # 3.87 times the finished 16 B per nonzero
     T, peak = oracles.traced_peak(lambda: extension.coherent_closure(c151k3, {0}).tensor)
     assert peak <= 2.5 * 16 * T.nonzero_count()
-    # the closure alone keeps the final round's (rank, n) int32 references,
-    # not a tensor; with the previous round's still alive while the last
-    # round filled its own, the peak was 2.2 times one set, now 1.5
+    # the closure alone keeps no references: holding all (rank, n) int32
+    # references of its final round peaked at 1.5 times one set, holding
+    # one fiber's at a time at 0.41
     ext, peak = oracles.traced_peak(extension.coherent_closure, c151k3, {0})
-    assert peak <= 1.8 * ext.rank * ext.n * 4
+    assert peak <= 0.6 * ext.rank * ext.n * 4
 
 
 def test_key_range_cap_refuses_before_allocating():

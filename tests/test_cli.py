@@ -118,13 +118,14 @@ def test_golden_determinism_across_runs(tmp_path, capsys):
     assert paths[0] == paths[1] == paths[2]
 
 
-def test_cli_and_closure_leave_heavy_modules_unimported():
-    # hashlib, thread pools and numpy.random each add to the RSS of every
-    # command; none is needed to load the CLI, to run a WL closure, to
-    # build an explicit extension or to decompose the adjacency algebra
+def test_cli_and_closure_leave_heavy_modules_unimported(c67_file):
+    # hashlib, thread pools, numpy.random and numpy.ma (which np.unique
+    # imports) each add to the RSS of every command; none is needed to load
+    # the CLI, to run a WL closure, to build an explicit extension, to
+    # decompose the adjacency algebra, or to run extend or analyze
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import schemelab.cli\n"
         "from schemelab import constructors, extension, spectral\n"
         "cfg = constructors.frobenius_example_scheme(2, 3)\n"
@@ -132,11 +133,15 @@ def test_cli_and_closure_leave_heavy_modules_unimported():
         "c67 = constructors.cyclotomic_scheme(constructors.FiniteField(67), 2)\n"
         "extension.explicit_extension(c67, 0)\n"
         "spectral.decompose(c67)\n"
-        "print(*[m for m in ('hashlib', 'concurrent.futures', 'numpy.random')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['extend', sys.argv[1], '--point', '0', '--method', 'both'],\n"
+        "                 ['analyze', sys.argv[1], '--json']):\n"
+        "        assert schemelab.cli.main(argv) == 0\n"
+        "print(*[m for m in ('hashlib', 'concurrent.futures', 'numpy.random', 'numpy.ma')\n"
         "        if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code, str(c67_file)], env=env,
+                         check=True, capture_output=True, text=True).stdout
     assert out.split() == []
 
 
@@ -166,13 +171,13 @@ def test_extend_never_builds_an_extension_tensor(c67_file, capsys, monkeypatch):
     # rank, fibers, semiregularity and agreement need no intersection
     # numbers of the extension; only the explicit method reads the base's
     built = []
-    build = cc_core._tensor_from_signatures
+    rebuild = cc_core._reference_signatures
 
-    def spy(ref, r):
-        built.append(r)
-        return build(ref, r)
+    def spy(cfg):
+        built.append(cfg.rank)
+        return rebuild(cfg)
 
-    monkeypatch.setattr(cc_core, "_tensor_from_signatures", spy)
+    monkeypatch.setattr(cc_core, "_reference_signatures", spy)
     code, out, _ = run(capsys, "extend", str(c67_file), "--point", "0",
                        "--method", "both", "--json")
     assert code == 0 and json.loads(out)["rank"] == 2245
@@ -180,15 +185,29 @@ def test_extend_never_builds_an_extension_tensor(c67_file, capsys, monkeypatch):
 
 
 def test_extend_peak_memory_stays_below_the_extension_tensor(tmp_path, capsys):
-    # c151k3 at point 0: rank 7601, whose tensor alone takes 17.5 MiB;
-    # building it for each method peaked at about 25 MiB
-    path = tmp_path / "c151k3.json"
-    assert run(capsys, "construct", "cyclotomic", "--p", "151", "--k-order", "3",
+    # c151k3 and c199k3 at point 0: ranks 7601 and 13 201, whose tensors
+    # alone take 17.5 and 40.1 MiB.  Building them peaked at about 25 MiB
+    # for c151k3; holding every (rank, n) reference of the S3 pass at 8.2
+    # and 14.5 MiB; one fiber's at a time at 2.9 and 4.6 MiB
+    for p, bound_mib in ((151, 4), (199, 8)):
+        path = tmp_path / f"c{p}k3.json"
+        assert run(capsys, "construct", "cyclotomic", "--p", str(p), "--k-order", "3",
+                   "-o", str(path))[0] == 0
+        code, peak = oracles.traced_peak(cli.main, ["extend", str(path), "--point", "0",
+                                                    "--method", "both", "--json"])
+        assert code == 0 and json.loads(capsys.readouterr().out)["methods_agree"]
+        assert peak <= bound_mib * 2**20
+
+
+def test_load_scheme_validates_the_parsed_matrix_in_place(tmp_path, capsys):
+    # c499k6: a second int64 copy of the 499 x 499 matrix took the peak
+    # from 3.9 to 5.8 MiB
+    path = tmp_path / "c499k6.json"
+    assert run(capsys, "construct", "cyclotomic", "--p", "499", "--k-order", "6",
                "-o", str(path))[0] == 0
-    code, peak = oracles.traced_peak(cli.main, ["extend", str(path), "--point", "0",
-                                                "--method", "both", "--json"])
-    assert code == 0 and json.loads(capsys.readouterr().out)["methods_agree"]
-    assert peak <= 12 * 2**20
+    (cfg, _), peak = oracles.traced_peak(cli.load_scheme, path)
+    assert cfg.rank == 84 and not cfg.colors.flags.writeable
+    assert peak <= 5 * 2**20
 
 
 def test_extend_both_methods(c67_file, tmp_path, capsys):

@@ -258,8 +258,8 @@ def _assert_same_config(a, b):
 
 
 def test_closure_config_equals_full_validation(corpus, c67k2):
-    # the closure builds its tensor from the references of its last,
-    # verified WL round instead of a second S3 pass; both must agree
+    # the closure skips the S3 pass of its last WL round, which it has
+    # already verified; both must agree
     for cfg in list(corpus.values()) + [c67k2]:
         res = extension.coherent_closure(cfg, {0})
         _assert_same_config(
@@ -295,9 +295,9 @@ def test_closure_verifies_only_its_final_round(monkeypatch, c67k2):
     calls = []
     verify = cc_core._verify_classes
 
-    def spy(colors, r, classes):
+    def spy(colors, r):
         calls.append(r)
-        return verify(colors, r, classes)
+        return verify(colors, r)
 
     monkeypatch.setattr(cc_core, "_verify_classes", spy)
     c199k3 = constructors.cyclotomic_scheme(constructors.FiniteField(199), 3)
