@@ -12,12 +12,12 @@ that scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cc_core, extension, permgroup
-from .cc_core import _require_scheme
+from . import cc_core, permgroup
+from .cc_core import CoherentConfig, _require_scheme
 from .errors import (
     NotAnAlgebraicAutomorphism,
     NotCoherent,
@@ -333,17 +333,38 @@ def recognize_affine(cfg):
 class Design:
     """Point set with the blocks alpha·s, tested against 2-(n, k, k-1).
 
-    Row alpha of ``blocks`` (read-only, n x (n - 1)) holds every point but
-    alpha, grouped by its color from alpha in ascending order of the
-    non-diagonal colors; the consecutive runs of ``block_sizes`` (the
-    valencies of those colors) are the blocks alpha·s, n * len(block_sizes)
-    blocks in all."""
+    Row alpha of ``blocks`` (read-only, n x (n - 1), built on first read)
+    holds every point but alpha, grouped by its color from alpha in
+    ascending order of the non-diagonal colors; the consecutive runs of
+    ``block_sizes`` (the valencies of those colors) are the blocks alpha·s,
+    n * len(block_sizes) blocks in all."""
     n: int
-    blocks: np.ndarray
     block_sizes: tuple
     params: tuple          # (n, k, lambda) claimed, k = scheme valency
     valid: bool
     coverage: tuple        # (min, max) pair coverage observed
+    config: CoherentConfig = field(repr=False, compare=False)
+    _blocks: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            self._blocks = _design_blocks(self.config)
+        return self._blocks
+
+
+def _design_blocks(cfg):
+    """The blocks of ``Design``: one stable sort per row of the colors,
+    with the diagonal color relabeled past the others so that alpha sorts
+    last and the first n - 1 columns are the blocks.  Every row of a
+    scheme holds each color s on valencies[s] points, so the runs line up."""
+    narrow = cc_core._narrow_copy(cfg.colors, cfg.rank)
+    # an order-preserving relabeling of the other colors onto 0..r-2
+    narrow -= narrow > cfg.identity_color
+    np.fill_diagonal(narrow, cfg.rank - 1)
+    blocks = np.argsort(narrow, axis=1, kind="stable")[:, :-1]
+    blocks.setflags(write=False)
+    return blocks
 
 
 def design_from_scheme(cfg):
@@ -356,17 +377,8 @@ def design_from_scheme(cfg):
     alpha == x makes C[alpha, x] diagonal."""
     _require_scheme(cfg)
     n = cfg.n
-    # every row of a scheme holds each color s on valencies[s] points, so
-    # one stable sort per row lists the blocks of that row in color order,
-    # with the diagonal cell at the same place in every row
-    narrow = cc_core._narrow_copy(cfg.colors, cfg.rank)
-    order = np.argsort(narrow, axis=1, kind="stable")
-    blocks = np.delete(order, int(cfg.valencies[:cfg.identity_color].sum()), axis=1)
-    blocks.setflags(write=False)
-    del order
     sizes = tuple(int(cfg.valencies[s]) for s in cfg.nondiagonal_colors)
-    columns = np.ascontiguousarray(narrow.T)
-    del narrow
+    columns = cc_core._narrow_copy(cfg.colors.T, cfg.rank)
     covs = set()
     for x in range(n - 1):
         covs.update(np.unique((columns[x + 1:] == columns[x]).sum(axis=1)).tolist())
@@ -375,11 +387,11 @@ def design_from_scheme(cfg):
     valid = (k is not None and covs == {k - 1})
     return Design(
         n=n,
-        blocks=blocks,
         block_sizes=sizes,
         params=(n, k, (k - 1) if k is not None else None),
         valid=valid,
-        coverage=(cmin, cmax))
+        coverage=(cmin, cmax),
+        config=cfg)
 
 
 def extend_algebraic_iso(phi, alpha, alpha_prime):
@@ -390,6 +402,7 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
     Direct blocks map through the restriction of phi; other blocks factor
     through a splitting relation w.  The result is validated as an algebraic
     isomorphism that sends 1_alpha to 1_alpha' and refines phi."""
+    from . import extension  # here, so that no other check loads it
     src, dst = phi.source, phi.target
     ext1 = extension.explicit_extension(src, alpha)
     ext2 = extension.explicit_extension(dst, alpha_prime, check_conditions=False)

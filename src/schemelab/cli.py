@@ -5,6 +5,10 @@ Scheme files are canonical JSON ({"n", "rank", "colors", "metadata"}) with
 integer color entries only; serialization is byte-stable, so golden files
 diff cleanly.  Exit codes: 0 ok, 2 invalid input, 3 method preconditions
 fail, 4 resource caps exceeded.
+
+Each verb imports the modules it runs when it starts, so a command loads
+only those.  It imports modules, not names, so a module attribute replaced
+after import (a wrapper or a test double) is the one called.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import analysis, cc_core, constructors, extension, permgroup, spectral
+from . import cc_core
 from .errors import (
     AxiomViolation,
     ConditionsFail,
@@ -92,6 +96,7 @@ def _read_int_rows(path):
 
 def _load_generators(path):
     """One permutation per line in image notation; '#' starts a comment."""
+    from . import permgroup
     gens = [tuple(row) for row in _read_int_rows(path)]
     for g in gens:
         permgroup.check_permutation(g)
@@ -125,6 +130,7 @@ _REQUIRED_PARAMS = {
 
 
 def _construct(args):
+    from . import constructors, permgroup
     family = args.family
     missing = [name for name in _REQUIRED_PARAMS[family]
                if getattr(args, name) is None]
@@ -171,6 +177,7 @@ def _construct(args):
 
 
 def _analyze(args):
+    from . import spectral
     cfg, meta = load_scheme(args.path)
     report = {
         "degree": cfg.n,
@@ -225,6 +232,7 @@ def _extension_summary(cfg, args, method, out):
     the configuration is freed on return, so it is not alive while a second
     method runs.  Nothing here reads the extension's tensor, so it is never
     built."""
+    from . import extension
     alpha = args.point
     if method == "explicit":
         res = extension.explicit_extension(cfg, alpha)
@@ -270,6 +278,7 @@ def _extend(args):
 
 
 def _check(args):
+    from . import analysis, permgroup
     cfg, _ = load_scheme(args.path)
     prop = args.property
     report = {"property": prop}

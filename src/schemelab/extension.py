@@ -249,7 +249,8 @@ def explicit_extension(cfg, alpha, *, check_conditions=True):
     new, fiber_points, relation_block, splitting_relations = \
         _extension_matrix(cfg, alpha, k, D, nond)
     try:
-        config = cc_core.validate_config(new, canonicalize=False)
+        # the matrix is ours, so the configuration keeps it without a copy
+        config = cc_core._validated(new, canonicalize=False)
     except AxiomViolation as exc:
         raise ValidationFailed(f"explicit extension is not coherent: {exc}") from exc
     actual_fibers = {tuple(int(x) for x in f) for f in config.fibers}

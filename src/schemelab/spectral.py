@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import cc_core, extension
+from . import cc_core
 from .cc_core import _require_scheme
 from .errors import DecompositionUnstable, TooLarge
 
@@ -272,6 +272,7 @@ def terwilliger_dimension(cfg, alpha):
     _require_scheme(cfg)
     if cfg.n > TERWILLIGER_POINT_CAP:
         raise TooLarge(f"degree {cfg.n} exceeds Terwilliger cap {TERWILLIGER_POINT_CAP}")
+    from . import extension  # here, so that `analyze` never loads it
     ext = extension.coherent_closure(cfg, {alpha})
     r, R = cfg.rank, ext.rank
     first = cc_core.first_cells(ext.colors)

@@ -163,6 +163,13 @@ def group_elements_naive(generators, n):
     return elements
 
 
+def design_blocks_argsort(cfg):
+    """``Design.blocks`` of a scheme: a stable argsort of each row of the
+    colors, with the column of the diagonal cell dropped."""
+    order = np.argsort(cfg.colors, axis=1, kind="stable")
+    return np.delete(order, int(cfg.valencies[:cfg.identity_color].sum()), axis=1)
+
+
 def pair_coverage(blocks, n):
     """Number of blocks containing each unordered point pair."""
     cov = np.zeros((n, n), dtype=int)

@@ -357,13 +357,19 @@ def test_design_extraction(c13k3, ag23, dihedral4):
 
 
 def test_design_peak_memory_at_c499k6():
-    # 41 417 blocks as Python tuples took 9.68 MiB; as one array of the
-    # sorted rows they take one (n, n - 1) int array
+    # 41 417 blocks as Python tuples took 9.68 MiB; cut from a stable
+    # argsort of the rows, 4.03 MiB; as the first n - 1 columns of that
+    # argsort, with the diagonal color relabeled to sort last, 2.14 MiB
     cfg = constructors.cyclotomic_scheme(constructors.FiniteField(499), 6)
-    d, peak = oracles.traced_peak(analysis.design_from_scheme, cfg)
+
+    def design_and_blocks():
+        d = analysis.design_from_scheme(cfg)
+        return d, d.blocks
+
+    (d, blocks), peak = oracles.traced_peak(design_and_blocks)
     assert d.valid and d.params == (499, 6, 5)
-    assert d.n * len(d.block_sizes) == 41417
-    assert peak <= 6 * 2**20
+    assert d.n * len(d.block_sizes) == 41417 and blocks.shape == (499, 498)
+    assert peak <= 3 * 2**20
 
 
 def test_design_validity_iff_pseudocyclic(corpus):
@@ -390,6 +396,10 @@ def test_design_matches_block_and_coverage_oracles(corpus):
         design = analysis.design_from_scheme(cfg)
         assert design.blocks.shape == (cfg.n, cfg.n - 1)
         assert not design.blocks.flags.writeable
+        assert np.array_equal(design.blocks, oracles.design_blocks_argsort(cfg))
+        assert design.blocks is design.blocks
+        with pytest.raises(AttributeError):
+            design.blocks = None
         assert design.block_sizes == tuple(
             int(cfg.valencies[s]) for s in cfg.nondiagonal_colors)
         blocks = _split_blocks(design)

@@ -1,5 +1,6 @@
 """CLI construction, analysis, extension, checks, exit codes, golden files."""
 
+import importlib
 import json
 import os
 import re
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from schemelab import cc_core, cli, permgroup
+import schemelab
+from schemelab import analysis, cc_core, cli, permgroup
 from schemelab.errors import SchemeFileError
 
 
@@ -145,6 +147,81 @@ def test_cli_and_closure_leave_heavy_modules_unimported(c67_file):
     assert out.split() == []
 
 
+def test_each_command_loads_only_its_verbs_modules(c67_file, tmp_path):
+    # importing all seven modules cost every command about 42 ms of start-up
+    # when no bytecode cache is written, whatever its verb ran
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from schemelab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.partition('.')[0] == 'schemelab')]))\n")
+    base = {"schemelab", "schemelab.cli", "schemelab.errors", "schemelab.cc_core"}
+    cases = [
+        (["construct", "cyclotomic", "--p", "13", "--k-order", "3",
+          "-o", str(tmp_path / "c13k3.json")], {"constructors", "permgroup"}),
+        (["analyze", str(c67_file), "--json"], {"spectral"}),
+        (["extend", str(c67_file), "--point", "0", "--method", "both"], {"extension"}),
+    ] + [(["check", str(c67_file), prop], {"analysis", "permgroup"})
+         for prop in ("design", "schurian", "frobenius-aut")]
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, verb_modules in cases:
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        exit_code, loaded = json.loads(out)
+        assert exit_code == 0, argv
+        assert set(loaded) == base | {"schemelab." + m for m in verb_modules}, argv
+
+
+# The names the package bound eagerly before it resolved them on first access
+PUBLIC_NAMES = {
+    "cc_core": (
+        "CoherentConfig", "IntersectionTensor", "canonicalize_colors",
+        "complex_product", "indistinguishing_number", "indistinguishing_numbers",
+        "is_commutative", "is_equivalenced", "is_pseudocyclic_combinatorial",
+        "is_symmetric", "partition_bijection", "reg_number", "reg_numbers",
+        "same_partition", "scheme_indistinguishing_number", "validate_config"),
+    "permgroup": (
+        "PermutationGroup", "automorphism_group", "group_closure", "is_frobenius",
+        "orbital_scheme", "point_stabilizer_orbits"),
+    "constructors": (
+        "FiniteField", "affine_plane_from_lines", "affine_scheme",
+        "cyclotomic_scheme", "frobenius_example_scheme", "hollman_scheme",
+        "passman_scheme", "regular_scheme"),
+    "spectral": (
+        "SpectralDecomposition", "decompose", "frame_number",
+        "is_pseudocyclic_spectral", "terwilliger_dimension", "verify_afm_identity"),
+    "extension": (
+        "ExtensionResult", "check_pair_condition", "check_triple_condition",
+        "coherent_closure", "explicit_extension", "is_semiregular",
+        "point_partition", "semiregularity_report", "splitting_set"),
+    "analysis": (
+        "ColorBijection", "Design", "algebraic_automorphism_group",
+        "algebraic_fusion", "algebraic_isomorphism", "design_from_scheme",
+        "extend_algebraic_iso", "fuse", "is_schurian", "is_separable_desk",
+        "recognize_affine", "t_condition"),
+}
+
+
+def test_package_names_resolve_to_their_modules():
+    listed = dir(schemelab)
+    assert {"errors", "__version__", *PUBLIC_NAMES} <= set(listed)
+    for module, names in PUBLIC_NAMES.items():
+        mod = importlib.import_module("schemelab." + module)
+        assert getattr(schemelab, module) is mod
+        for name in names:
+            scope = {}
+            exec(f"from schemelab import {name}", scope)
+            assert scope[name] is getattr(mod, name), name
+            assert name in listed, name
+    with pytest.raises(AttributeError):
+        schemelab.no_such_name
+    with pytest.raises(ImportError):
+        exec("from schemelab import no_such_name", {})
+
+
 def test_analyze_human_and_json(c67_file, capsys):
     code, out, _ = run(capsys, "analyze", str(c67_file))
     assert code == 0
@@ -208,6 +285,21 @@ def test_load_scheme_validates_the_parsed_matrix_in_place(tmp_path, capsys):
     (cfg, _), peak = oracles.traced_peak(cli.load_scheme, path)
     assert cfg.rank == 84 and not cfg.colors.flags.writeable
     assert peak <= 5 * 2**20
+
+
+def test_check_design_never_builds_the_blocks(tmp_path, capsys, monkeypatch):
+    # c499k6: the n x (n - 1) blocks and the argsort they were cut from
+    # took the peak from 4.1 to 6.1 MiB, and the command prints only counts
+    path = tmp_path / "c499k6.json"
+    assert run(capsys, "construct", "cyclotomic", "--p", "499", "--k-order", "6",
+               "-o", str(path))[0] == 0
+    built = []
+    monkeypatch.setattr(analysis, "_design_blocks", built.append)
+    code, peak = oracles.traced_peak(cli.main, ["check", str(path), "design", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["valid"] and report["blocks"] == 41417
+    assert built == []
+    assert peak <= 4.5 * 2**20
 
 
 def test_extend_both_methods(c67_file, tmp_path, capsys):

@@ -169,6 +169,17 @@ def test_explicit_extension_c67(c67k2):
     assert cc_core.partition_bijection(res.config, clo) is not None
 
 
+def test_explicit_extension_validates_its_matrix_in_place():
+    # c199k3 at point 0, rank 13 201: validating a copy of the 199 x 199
+    # int64 matrix took the peak from 3.87 to 4.17 MiB.  The source tensor
+    # is read first, since it stays cached on the source configuration
+    cfg = constructors.cyclotomic_scheme(constructors.FiniteField(199), 3)
+    cfg.tensor
+    res, peak = oracles.traced_peak(extension.explicit_extension, cfg, 0)
+    assert res.config.rank == 13201 and not res.config.colors.flags.writeable
+    assert peak <= 4.0 * 2**20
+
+
 def test_explicit_extension_ag33(ag33):
     res = extension.explicit_extension(ag33, 0)
     assert sorted(len(f) for f in res.config.fibers) == [1] + [2] * 13

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from schemelab import cc_core, spectral
+from schemelab import cc_core, extension, spectral
 from schemelab.errors import NotAScheme
 
 AFM_TOL = 1e-6
@@ -190,7 +190,7 @@ def test_terwilliger_degree_cap(monkeypatch):
     def no_closure(*args, **kwargs):
         raise AssertionError("closure started above the cap")
 
-    monkeypatch.setattr(spectral.extension, "coherent_closure", no_closure)
+    monkeypatch.setattr(extension, "coherent_closure", no_closure)
     with pytest.raises(TooLarge):
         spectral.terwilliger_dimension(cfg, 0)
 
