@@ -61,7 +61,6 @@ _EXPORTS = {
         "verify_afm_identity",
     ),
     "extension": (
-        "ExtensionResult",
         "check_pair_condition",
         "check_triple_condition",
         "coherent_closure",

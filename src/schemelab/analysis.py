@@ -140,9 +140,12 @@ def realization(phi):
 
 
 def is_schurian(cfg):
-    """Whether cfg is the 2-orbit configuration of its automorphism group."""
+    """Whether cfg is the 2-orbit configuration of its automorphism group.
+
+    Aut(cfg) preserves every color, so its 2-orbits refine the colors, and
+    the two partitions are equal exactly when their ranks are."""
     G = permgroup.automorphism_group(cfg)
-    return cc_core.same_partition(permgroup.orbital_scheme(G), cfg)
+    return permgroup.orbital_scheme(G).rank == cfg.rank
 
 
 def is_separable_desk(cfg, others=()):
@@ -276,7 +279,7 @@ def t_condition(cfg, t):
     for s in range(r):
         alphas, betas = np.divmod(order[starts[s]:starts[s + 1]], n)
         ref3 = np.sort(C[alphas[0]] * r + C[betas[0]])
-        words = np.unique(ref3)
+        words = ref3[np.concatenate(([True], ref3[1:] != ref3[:-1]))]
         m = words.size
         # key (id(gamma) * r + C[gamma, delta]) * m + id(delta) < m * m * r
         dtype = np.int32 if m * m * r < 2 ** 31 else np.int64
@@ -379,18 +382,18 @@ def design_from_scheme(cfg):
     n = cfg.n
     sizes = tuple(int(cfg.valencies[s]) for s in cfg.nondiagonal_colors)
     columns = cc_core._narrow_copy(cfg.colors.T, cfg.rank)
-    covs = set()
+    cmin, cmax = n, 0
     for x in range(n - 1):
-        covs.update(np.unique((columns[x + 1:] == columns[x]).sum(axis=1)).tolist())
-    cmin, cmax = (min(covs), max(covs)) if covs else (0, 0)
+        cov = (columns[x + 1:] == columns[x]).sum(axis=1)
+        cmin, cmax = min(cmin, int(cov.min())), max(cmax, int(cov.max()))
+    coverage = (cmin, cmax) if n > 1 else (0, 0)
     k = sizes[0] if sizes and len(set(sizes)) == 1 else None
-    valid = (k is not None and covs == {k - 1})
     return Design(
         n=n,
         block_sizes=sizes,
         params=(n, k, (k - 1) if k is not None else None),
-        valid=valid,
-        coverage=(cmin, cmax),
+        valid=k is not None and coverage == (k - 1, k - 1),
+        coverage=coverage,
         config=cfg)
 
 
@@ -400,19 +403,28 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
     alpha'-extension of the target.
 
     Direct blocks map through the restriction of phi; other blocks factor
-    through a splitting relation w.  The result is validated as an algebraic
-    isomorphism that sends 1_alpha to 1_alpha' and refines phi."""
+    through their splitting relation w = min D(u, v).  The result is
+    validated as an algebraic isomorphism that sends 1_alpha to 1_alpha' and
+    refines phi."""
     from . import extension  # here, so that no other check loads it
     src, dst = phi.source, phi.target
     ext1 = extension.explicit_extension(src, alpha)
-    ext2 = extension.explicit_extension(dst, alpha_prime, check_conditions=False)
-    first1 = cc_core.first_cells(ext1.config.colors)
-    parent1 = src.colors.ravel()[first1]
-    parent2 = dst.colors.ravel()[cc_core.first_cells(ext2.config.colors)]
+    ext2 = extension.explicit_extension(dst, alpha_prime)
+    row1, row2 = src.colors[alpha], dst.colors[alpha_prime]
+
+    def first_pairs(ext, cfg, row):
+        """The first cell (x, y) of each extension color, its original
+        color, and its block (u, v) = (row[x], row[y])."""
+        x, y = np.divmod(cc_core.first_cells(ext.colors), cfg.n)
+        return x, y, cfg.colors[x, y], row[x], row[y]
+
+    x1, y1, parent1, u1, v1 = first_pairs(ext1, src, row1)
+    _, _, parent2, u2, v2 = first_pairs(ext2, dst, row2)
     # a direct block holds one extension color per original color
     direct = {}
-    for cid, (block, parent) in enumerate(zip(ext2.relation_block, parent2.tolist())):
-        direct.setdefault((*block, parent), cid)
+    for cid, key in enumerate(zip(u2.tolist(), v2.tolist(), parent2.tolist())):
+        direct.setdefault(key, cid)
+    is_direct = extension.direct_blocks(src)
     first_in = {}
 
     def first_point(x, fiber, color):
@@ -421,7 +433,7 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
         if fiber not in first_in:
             table = np.full((dst.n, dst.rank), -1, dtype=np.int64)
             rows = np.arange(dst.n)
-            for y in reversed(ext2.fiber_points[fiber]):
+            for y in np.flatnonzero(row2 == fiber)[::-1]:
                 table[rows, dst.colors[:, y]] = y
             first_in[fiber] = table
         y = int(first_in[fiber][x, color])
@@ -429,11 +441,10 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
             raise ValidationFailed(f"color {color} missing from a target block")
         return y
 
-    mapping = [-1] * ext1.config.rank
-    for cid in range(ext1.config.rank):
-        u, v = ext1.relation_block[cid]
-        w = ext1.splitting_relations.get((u, v))
-        if w is None:
+    mapping = [-1] * ext1.rank
+    for cid in range(ext1.rank):
+        u, v = int(u1[cid]), int(v1[cid])
+        if is_direct[u, v]:
             # direct block: the piece is an original color, mapped by phi
             key = (phi(u), phi(v), phi(int(parent1[cid])))
             if key not in direct:
@@ -443,20 +454,21 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
         # composed block: the piece is the matching of the smallest color
         # s1 of block (u, w), followed by the matching s2 of block (w, v)
         # that carries x0 on to y0; compose their phi-images in the target
-        x0, y0 = divmod(int(first1[cid]), src.n)
-        aw = np.asarray(ext1.fiber_points[w])
+        w = min(extension.splitting_set(src, u, v))
+        x0, y0 = int(x1[cid]), int(y1[cid])
+        aw = np.flatnonzero(row1 == w)
         z = int(aw[np.argmin(src.colors[x0, aw])])
         s1, s2 = int(src.colors[x0, z]), int(src.colors[z, y0])
-        x2 = ext2.fiber_points[phi(u)][0]
+        x2 = int(np.flatnonzero(row2 == phi(u))[0])
         z2 = first_point(x2, phi(w), phi(s1))
         y2 = first_point(z2, phi(v), phi(s2))
-        mapping[cid] = int(ext2.config.colors[x2, y2])
+        mapping[cid] = int(ext2.colors[x2, y2])
 
-    bij = ColorBijection(ext1.config, ext2.config, tuple(mapping))
+    bij = ColorBijection(ext1, ext2, tuple(mapping))
     if not bij.is_valid():
         raise ValidationFailed("extended map is not an algebraic isomorphism")
-    if mapping[int(ext1.config.colors[alpha, alpha])] != \
-            int(ext2.config.colors[alpha_prime, alpha_prime]):
+    if mapping[int(ext1.colors[alpha, alpha])] != \
+            int(ext2.colors[alpha_prime, alpha_prime]):
         raise ValidationFailed("extended map does not send 1_alpha to 1_alpha'")
     if not np.array_equal(parent2[mapping], np.asarray(phi.mapping)[parent1]):
         raise ValidationFailed("extended map does not refine phi")

@@ -176,6 +176,12 @@ class CoherentConfig:
         return len(self.star)
 
     @property
+    def config(self):
+        """This configuration, for readers of an extension's ``.config``,
+        such as the span counter of ``perfbench/traced_cli.py``."""
+        return self
+
+    @property
     def is_scheme(self):
         return len(self.fibers) == 1
 

@@ -95,14 +95,10 @@ def _read_int_rows(path):
 
 
 def _load_generators(path):
-    """One permutation per line in image notation; '#' starts a comment."""
-    from . import permgroup
-    gens = [tuple(row) for row in _read_int_rows(path)]
-    for g in gens:
-        permgroup.check_permutation(g)
-    if gens and len({len(g) for g in gens}) != 1:
-        raise ValueError("generators have unequal degrees")
-    return gens
+    """One permutation per line in image notation; '#' starts a comment.
+    ``permgroup.group_closure`` checks that they are permutations of one
+    degree."""
+    return [tuple(row) for row in _read_int_rows(path)]
 
 
 def _load_plane_lines(path):
@@ -234,18 +230,15 @@ def _extension_summary(cfg, args, method, out):
     built."""
     from . import extension
     alpha = args.point
-    if method == "explicit":
-        res = extension.explicit_extension(cfg, alpha)
-        ext, semiregular = res.config, res.semiregular
-    else:
-        ext = extension.coherent_closure(cfg, {alpha})
-        semiregular = extension.restriction_semiregular(ext, alpha)
+    ext = (extension.explicit_extension(cfg, alpha) if method == "explicit"
+           else extension.coherent_closure(cfg, {alpha}))
     if out:
         write_scheme(out, ext, {"extension_of": args.path, "point": alpha,
                                 "method": method})
     fibers = Counter(len(f) for f in ext.fibers)
     profile = " + ".join(f"{m}x{size}" for size, m in sorted(fibers.items()))
-    return ext.rank, profile, semiregular, cc_core.canonicalize_colors(ext.colors)
+    return (ext.rank, profile, extension.restriction_semiregular(ext, alpha),
+            cc_core.canonicalize_colors(ext.colors))
 
 
 def _extend(args):

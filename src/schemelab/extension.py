@@ -9,15 +9,16 @@ intersection tensor by matrix products; the pair and triple conditions are
 reductions over it, one row i at a time.  The explicit method gathers the
 blocks alpha·u x alpha·v as k x k arrays and partitions each either
 directly (by the colors of u*v when |u*v| equals the valency) or by
-composing the matchings through a relation w in D(u, v).  Both routes
-produce perfect matchings between fibers; every matching property is
-re-verified as a built-in bug trap.
+composing the matchings through a relation w in D(u, v) (``direct_blocks``
+says which).  Both routes produce perfect matchings between fibers; every
+matching property is re-verified as a built-in bug trap.  Both methods
+return the extension as a ``CoherentConfig``, with no bookkeeping beside it.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,25 +184,6 @@ def point_partition(cfg, alpha, u, v):
             for s in present]
 
 
-@dataclass
-class ExtensionResult:
-    """A one-point extension together with its block bookkeeping.
-
-    ``fiber_points`` maps each original color u to the fiber alpha·u (the
-    diagonal color of the original scheme owns the singleton {alpha});
-    ``relation_block`` maps every new color to its (u, v) block;
-    ``splitting_relations`` maps every block (u, v) built by composing
-    matchings to its splitting relation w = min D(u, v).
-    """
-    config: cc_core.CoherentConfig
-    method: str
-    point: int
-    semiregular: bool
-    fiber_points: dict
-    relation_block: tuple
-    splitting_relations: dict = field(default_factory=dict)
-
-
 def _composed_pieces(left, right, k, where):
     """The pieces of blocks (u, v) composed through w, from the matchings
     of the blocks (u, w) and (w, v): piece[c, p, a] = b.
@@ -228,14 +210,33 @@ def _composed_pieces(left, right, k, where):
     return pieces
 
 
-def explicit_extension(cfg, alpha, *, check_conditions=True):
+def direct_blocks(cfg):
+    """direct[u, v] for an equivalenced scheme of valency k: whether the
+    explicit extension partitions the blocks alpha·u x alpha·v by the colors
+    of u*v, which it does when u or v is diagonal or |u*v| = k; it composes
+    every other block through w = min D(u, v)."""
+    k = cc_core.is_equivalenced(cfg)
+    if k is None:
+        raise NotEquivalenced("direct blocks require an equivalenced scheme")
+    R = cfg.rank
+    a, b, _, _ = cfg.tensor.arrays()
+    size = np.bincount(a * R + b, minlength=R * R).reshape(R, R)
+    direct = size[cfg.star] == k
+    e = cfg.identity_color
+    direct[e] = direct[:, e] = True
+    return direct
+
+
+def explicit_extension(cfg, alpha):
     """The alpha-extension of an equivalenced scheme via splitting sets.
 
     Requires the pair and triple conditions to hold for all non-diagonal
-    colors (checked unless disabled); raises ConditionsFail otherwise, which
-    directs the caller to ``coherent_closure``.  New color ids are ordered by
-    (source fiber, target fiber, first occurrence), fibers following the
-    original color order with the diagonal first.
+    colors; raises ConditionsFail otherwise, which directs the caller to
+    ``coherent_closure``.  New color ids are ordered by (source fiber,
+    target fiber, first occurrence), fibers following the original color
+    order with the diagonal first.  The fibers are {alpha} and the sets
+    alpha·u, so a color with a pair (x, y) lies in the block
+    (C[alpha, x], C[alpha, y]).
     """
     _require_scheme(cfg)
     if not 0 <= alpha < cfg.n:
@@ -244,62 +245,47 @@ def explicit_extension(cfg, alpha, *, check_conditions=True):
     if k is None:
         raise NotEquivalenced("explicit extension requires an equivalenced scheme")
     D, nond = _splitting_array(cfg)
-    if check_conditions:
-        _check_conditions(D, nond)
-    new, fiber_points, relation_block, splitting_relations = \
-        _extension_matrix(cfg, alpha, k, D, nond)
+    _check_conditions(D, nond)
+    new = _extension_matrix(cfg, alpha, k, D, nond)
     try:
         # the matrix is ours, so the configuration keeps it without a copy
         config = cc_core._validated(new, canonicalize=False)
     except AxiomViolation as exc:
         raise ValidationFailed(f"explicit extension is not coherent: {exc}") from exc
-    actual_fibers = {tuple(int(x) for x in f) for f in config.fibers}
-    if actual_fibers != {tuple(sorted(f)) for f in fiber_points.values()}:
+    # as many fibers as colors, each inside one set alpha·u, are the sets
+    # alpha·u
+    row = cfg.colors[alpha]
+    heads = np.array([f[0] for f in config.fibers])
+    if heads.size != cfg.rank or not np.array_equal(row[heads][config.point_fiber], row):
         raise ValidationFailed("extension fibers differ from the alpha-u sets")
-    return ExtensionResult(
-        config=config,
-        method="explicit",
-        point=alpha,
-        semiregular=restriction_semiregular(config, alpha),
-        fiber_points=fiber_points,
-        relation_block=relation_block,
-        splitting_relations=splitting_relations)
+    return config
 
 
 def _extension_matrix(cfg, alpha, k, D, nond):
-    """The color matrix of the explicit extension with its fiber points,
-    relation blocks and splitting relations.
+    """The color matrix of the explicit extension.
 
     Every non-diagonal block alpha·u x alpha·v splits into k perfect
-    matchings: the colors of u*v where |u*v| = k, else the composites
-    through w = min D(u, v).  Each piece meets the first row of its block
-    once, so numbering the pieces of a block by that column orders them by
-    first cell, and every id follows from its block's position alone."""
-    n, m, R = cfg.n, len(nond), cfg.rank
+    matchings: the colors of u*v in a direct block (``direct_blocks``),
+    else the composites through w = min D(u, v).  Each piece meets the
+    first row of its block once, so numbering the pieces of a block by that
+    column orders them by first cell, and every id follows from its block's
+    position alone."""
+    n, m = cfg.n, len(nond)
     colors = cfg.colors
-    e = cfg.identity_color
     # Layout order: alpha, then each fiber alpha·u in ascending color order.
     rest = np.argsort(colors[alpha], kind="stable")
     rest = rest[rest != alpha]
     order = np.concatenate(([alpha], rest))
     F = rest.reshape(m, k)
-    fiber_points = {e: (alpha,)}
-    fiber_points.update(zip(nond, map(tuple, F.tolist())))
 
     # pieces[i, j, q, a] = b: the cells (a, b) of the q-th piece of block (i, j)
     idx = np.array(nond, dtype=np.int64)
-    a, b, _, _ = cfg.tensor.arrays()
-    product_size = np.bincount(a * R + b, minlength=R * R).reshape(R, R)
-    direct = product_size[cfg.star[idx]][:, idx] == k
+    direct = direct_blocks(cfg)[np.ix_(idx, idx)]
     pieces = np.empty((m, m, k, k), dtype=np.int64)
     pieces[direct] = _matchings(_blocks(colors, F, F)[direct])
     I, J = np.nonzero(~direct)
-    splitting_relations = {}
     if I.size:
-        has_w = D[I, J].any(axis=1)
-        if not has_w.all():
-            c = int(np.argmin(has_w))
-            raise ConditionsFail(nond[I[c]], nond[J[c]])
+        # the pair condition makes every D(u, v) non-empty
         W = np.argmax(D[I, J], axis=1)
         for i, j in ((I, W), (W, J)):
             if not direct[i, j].all():
@@ -310,8 +296,6 @@ def _extension_matrix(cfg, alpha, k, D, nond):
         pieces[I, J] = _composed_pieces(
             pieces[I, W], pieces[W, J], k,
             lambda c: f"u={nond[I[c]]}, v={nond[J[c]]}, w={nond[W[c]]}")
-        splitting_relations = {(nond[i], nond[j]): nond[w]
-                               for i, j, w in zip(I.tolist(), J.tolist(), W.tolist())}
 
     # local[i, j, a, b]: the piece of cell (a, b), numbered by its column in
     # row 0; a cell left at -1 lies in no piece, one covered twice leaves
@@ -335,11 +319,7 @@ def _extension_matrix(cfg, alpha, k, D, nond):
     ids[1:, 1:] = local.transpose(0, 2, 1, 3).reshape(n - 1, n - 1)
     new = np.empty((n, n), dtype=np.int64)
     new[np.ix_(order, order)] = ids
-    relation_block = [(e, e)] + [(e, v) for v in nond]
-    for u in nond:
-        relation_block.append((u, e))
-        relation_block.extend((u, v) for v in nond for _ in range(k))
-    return new, fiber_points, tuple(relation_block), splitting_relations
+    return new
 
 
 def is_semiregular(cfg):

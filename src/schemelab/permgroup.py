@@ -218,14 +218,20 @@ class PermutationGroup:
         return self.is_transitive() and self.order == self.n
 
     def stabilizer(self, alpha):
-        """The point stabilizer G_alpha: with alpha first in the base, the
-        strong generators that fix alpha generate it."""
+        """The point stabilizer G_alpha, read off the stabilizer chain: with
+        alpha first in the base, the later base points and levels are a BSGS
+        of G_alpha, whose strong generators are those fixing alpha.  Any
+        other alpha costs one Schreier-Sims run to re-base."""
         G = self
         if self.base[:1] != (alpha,):
             G = PermutationGroup(self.n, self.strong_generators, base=(alpha,))
-        return PermutationGroup(
-            self.n, [s for s in G.strong_generators if s[alpha] == alpha],
-            base=G.base[1:])
+        H = object.__new__(PermutationGroup)
+        H.n = self.n
+        H.generators = H.strong_generators = tuple(
+            s for s in G.strong_generators if s[alpha] == alpha)
+        H.base = G.base[1:]
+        H._levels = G._levels[1:]
+        return H
 
     def __repr__(self):
         return f"<PermutationGroup degree={self.n} order={self.order}>"

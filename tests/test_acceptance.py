@@ -85,11 +85,11 @@ def test_criterion_3_gf67_witness(corpus, c67k2):
                 assert extension.check_pair_condition(c67k2, u, v)
         for u, v, w in combinations_with_replacement(nond, 3):
             assert extension.check_triple_condition(c67k2, u, v, w)
-        res = extension.explicit_extension(c67k2, 0)
-        assert res.semiregular
-        assert sorted(len(f) for f in res.config.fibers) == [1] + [2] * 33
+        ext = extension.explicit_extension(c67k2, 0)
+        assert extension.restriction_semiregular(ext, 0)
+        assert sorted(len(f) for f in ext.fibers) == [1] + [2] * 33
         closure = extension.coherent_closure(c67k2, {0})
-        assert cc_core.same_partition(res.config, closure)
+        assert cc_core.same_partition(ext, closure)
         G = permgroup.automorphism_group(c67k2)
         assert G.order == 134
         assert permgroup.is_frobenius(G)

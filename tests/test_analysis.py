@@ -1,6 +1,7 @@
 """Algebraic isomorphisms, schurity/separability, fusions, t-condition,
 affine recognition, designs."""
 
+import hashlib
 import os
 import time
 
@@ -440,6 +441,40 @@ def test_extend_algebraic_iso_nontrivial(c67k2, ag33):
     assert ext3.is_valid()
 
 
+# first 16 hex digits of sha256 over the int64 mapping that
+# extend_algebraic_iso gives for each generator of AAut, from point 0 to
+# alpha' = 0 and then 1
+GOLDEN_EXTENDED_ISO = {
+    "ag-3-3": (
+        "45b1b8e1b3e46e81", "401a2e3a0096dbd0", "3eb0ad19b8d823f1", "7c31362b0aa9df2c",
+        "fc6ae61fccd256fa", "35fef6d2e7660b62", "4921fff258dd9fb6", "9d9aa646ba232508",
+        "b9614710bed21945", "d9b1be0ca10665e7", "5b116b34d81ed011", "46c26769907c6f17",
+        "75388fd2d87aef5a", "9bd316675d2e68ec",
+    ),
+    "cyclotomic-67-k2": (
+        "831ece565e0a9336", "7249ab34836aa504",
+    ),
+    "cyclotomic-151-k3": (
+        "d5762d73720608fb", "f30806e0bfd7720b", "4ddcbc4b1ec1691e", "fab2b893f7d9bdad",
+    ),
+}
+
+
+def test_extend_algebraic_iso_golden_mappings(ag33, c67k2, c151k3):
+    named = {"ag-3-3": ag33, "cyclotomic-67-k2": c67k2,
+             "cyclotomic-151-k3": c151k3}
+    for name, pins in GOLDEN_EXTENDED_ISO.items():
+        cfg = named[name]
+        got = []
+        for g in analysis.algebraic_automorphism_group(cfg).generators:
+            phi = ColorBijection(cfg, cfg, g)
+            for alpha_prime in (0, 1):
+                mapping = analysis.extend_algebraic_iso(phi, 0, alpha_prime).mapping
+                got.append(hashlib.sha256(
+                    np.asarray(mapping, dtype=np.int64).tobytes()).hexdigest()[:16])
+        assert tuple(got) == pins, name
+
+
 def test_schurian_pseudocyclic_high_rank_is_frobenius(corpus):
     # schurian pseudocyclic of valency k > 1 and rank > 2(k-1): Frobenius
     # automorphism group
@@ -472,9 +507,8 @@ def test_semiregular_extensions_imply_schurian_frobenius(corpus, ag33, c67k2):
              ("regular-Z4", corpus["regular-Z4"])]
     for name, cfg in cases:
         for alpha in range(cfg.n):
-            res = extension.explicit_extension(cfg, alpha,
-                                               check_conditions=(alpha == 0))
-            assert res.semiregular, (name, alpha)
+            ext = extension.explicit_extension(cfg, alpha)
+            assert extension.restriction_semiregular(ext, alpha), (name, alpha)
         assert analysis.is_schurian(cfg), name
         G = permgroup.automorphism_group(cfg)
         assert G.is_regular() or permgroup.is_frobenius(G), name

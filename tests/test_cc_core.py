@@ -264,7 +264,7 @@ def test_extension_tensor_stores_at_most_16_bytes_per_nonzero(c67k2):
 
 def test_packed_tensor_build_matches_argsort_oracle(corpus, c67k2, c151k3, monkeypatch):
     configs = list(corpus.values()) + [extension.coherent_closure(c67k2, {0}),
-                                       extension.explicit_extension(c151k3, 0).config]
+                                       extension.explicit_extension(c151k3, 0)]
     assert [cfg.rank for cfg in configs[-2:]] == [2245, 7601]
     # one block of rows per 2^16 cells, then every row its own block
     for cells, cfgs in ((cc_core.TENSOR_BUILD_CELLS, configs), (1, corpus.values())):
@@ -307,7 +307,7 @@ def test_fiber_walk_matches_all_references_oracle(corpus, c67k2, c151k3):
     # S3 walked one fiber at a time, against the pass that holds every
     # reference at once: the same first cells and the same first failing
     # pair in row-major order, in int64 and in the narrow working copy
-    configs = list(corpus.values()) + [extension.explicit_extension(c, 0).config
+    configs = list(corpus.values()) + [extension.explicit_extension(c, 0)
                                        for c in (c67k2, c151k3)]
     for cfg in configs:
         ref, first_cell, bad = oracles.verify_classes_all_references(
@@ -330,7 +330,7 @@ def test_fiber_walk_matches_all_references_oracle(corpus, c67k2, c151k3):
 
 def test_relation_fibers_hold_every_cell_and_crossing_is_named(corpus, c67k2, c151k3):
     # every cell of s lies in relation_source[s] x relation_target[s]
-    for cfg in list(corpus.values()) + [extension.explicit_extension(c, 0).config
+    for cfg in list(corpus.values()) + [extension.explicit_extension(c, 0)
                                         for c in (c67k2, c151k3)]:
         assert (cfg.relation_source[cfg.colors] == cfg.point_fiber[:, None]).all()
         assert (cfg.relation_target[cfg.colors] == cfg.point_fiber[None, :]).all()

@@ -3,7 +3,6 @@
 import importlib
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -74,18 +73,23 @@ def test_construct_regular_and_orbitals(tmp_path, capsys):
     assert cfg2.rank == 3
 
 
-def test_generator_file(tmp_path):
+def test_generator_file(tmp_path, capsys):
     path = tmp_path / "gens.txt"
     path.write_text("# rotation\n1 2 0\n\n0 2 1  # swap\n")
     gens = cli._load_generators(path)
     assert gens == [(1, 2, 0), (0, 2, 1)]
     assert permgroup.group_closure(gens).order == 6
+    # the file is read here and validated once, by group_closure
+    out = tmp_path / "bad.json"
     for text, message in (("0 0 1\n", "not a permutation of 0..2: (0, 0, 1)"),
                           ("1 0\n0 2 1\n", "generators have unequal degrees"),
                           ("0 x 1\n", "invalid literal for int()")):
         path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            cli._load_generators(path)
+        code, stdout, err = run(capsys, "construct", "group-orbitals",
+                                "--generators", str(path), "-o", str(out))
+        assert (code, stdout) == (2, ""), text
+        assert message in err, text
+    assert not out.exists()
 
 
 def test_construct_affine_plane(tmp_path, capsys):
@@ -147,6 +151,23 @@ def test_cli_and_closure_leave_heavy_modules_unimported(c67_file):
     assert out.split() == []
 
 
+def test_checks_leave_numpy_ma_unimported(c67_file):
+    # np.unique imports numpy.ma unless it is asked for indices; these three
+    # checks need neither
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys\n"
+        "from schemelab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    for prop in ("design", "t-condition", "schurian"):
+        out = subprocess.run([sys.executable, "-c", code, "check", str(c67_file), prop],
+                             env=env, check=True, capture_output=True, text=True).stdout
+        assert out.split() == ["False"], prop
+
+
 def test_each_command_loads_only_its_verbs_modules(c67_file, tmp_path):
     # importing all seven modules cost every command about 42 ms of start-up
     # when no bytecode cache is written, whatever its verb ran
@@ -194,9 +215,9 @@ PUBLIC_NAMES = {
         "SpectralDecomposition", "decompose", "frame_number",
         "is_pseudocyclic_spectral", "terwilliger_dimension", "verify_afm_identity"),
     "extension": (
-        "ExtensionResult", "check_pair_condition", "check_triple_condition",
-        "coherent_closure", "explicit_extension", "is_semiregular",
-        "point_partition", "semiregularity_report", "splitting_set"),
+        "check_pair_condition", "check_triple_condition", "coherent_closure",
+        "explicit_extension", "is_semiregular", "point_partition",
+        "semiregularity_report", "splitting_set"),
     "analysis": (
         "ColorBijection", "Design", "algebraic_automorphism_group",
         "algebraic_fusion", "algebraic_isomorphism", "design_from_scheme",

@@ -159,14 +159,33 @@ def test_splitting_set_complement_bound(corpus):
 
 
 def test_explicit_extension_c67(c67k2):
-    res = extension.explicit_extension(c67k2, 0)
-    sizes = sorted(len(f) for f in res.config.fibers)
+    ext = extension.explicit_extension(c67k2, 0)
+    sizes = sorted(len(f) for f in ext.fibers)
     assert sizes == [1] + [2] * 33
-    assert res.semiregular
-    assert extension.restriction_semiregular(res.config, 0)
+    assert extension.restriction_semiregular(ext, 0)
     clo = extension.coherent_closure(c67k2, {0})
-    assert cc_core.same_partition(res.config, clo)
-    assert cc_core.partition_bijection(res.config, clo) is not None
+    assert cc_core.same_partition(ext, clo)
+    assert cc_core.partition_bijection(ext, clo) is not None
+
+
+def test_explicit_extension_equals_closure_wherever_conditions_hold(corpus, c151k3):
+    named = dict(corpus)
+    named["cyclotomic-151-k3"] = c151k3
+    held = set()
+    for name, cfg in named.items():
+        if not cfg.is_scheme or cc_core.is_equivalenced(cfg) is None:
+            continue
+        for alpha in (0, cfg.n - 1):
+            try:
+                ext = extension.explicit_extension(cfg, alpha)
+            except ConditionsFail:
+                continue
+            held.add(name)
+            clo = extension.coherent_closure(cfg, {alpha})
+            assert np.array_equal(cc_core.canonicalize_colors(ext.colors),
+                                  cc_core.canonicalize_colors(clo.colors)), (name, alpha)
+    assert held == {"regular-Z3", "regular-Z4", "regular-S3", "ag-3-3",
+                    "cyclotomic-67-k2", "cyclotomic-151-k3"}
 
 
 def test_explicit_extension_validates_its_matrix_in_place():
@@ -175,34 +194,36 @@ def test_explicit_extension_validates_its_matrix_in_place():
     # is read first, since it stays cached on the source configuration
     cfg = constructors.cyclotomic_scheme(constructors.FiniteField(199), 3)
     cfg.tensor
-    res, peak = oracles.traced_peak(extension.explicit_extension, cfg, 0)
-    assert res.config.rank == 13201 and not res.config.colors.flags.writeable
+    ext, peak = oracles.traced_peak(extension.explicit_extension, cfg, 0)
+    assert ext.rank == 13201 and not ext.colors.flags.writeable
     assert peak <= 4.0 * 2**20
 
 
 def test_explicit_extension_ag33(ag33):
-    res = extension.explicit_extension(ag33, 0)
-    assert sorted(len(f) for f in res.config.fibers) == [1] + [2] * 13
-    assert res.semiregular
+    ext = extension.explicit_extension(ag33, 0)
+    assert sorted(len(f) for f in ext.fibers) == [1] + [2] * 13
+    assert extension.restriction_semiregular(ext, 0)
     clo = extension.coherent_closure(ag33, {0})
-    assert cc_core.same_partition(res.config, clo)
+    assert cc_core.same_partition(ext, clo)
 
 
 def test_explicit_extension_any_point(ag33):
     # fibers alpha*u at every point; semiregular everywhere
     for alpha in range(ag33.n):
-        res = extension.explicit_extension(ag33, alpha, check_conditions=(alpha == 0))
-        assert res.semiregular
-        assert sorted(len(f) for f in res.config.fibers) == [1] + [2] * 13
+        ext = extension.explicit_extension(ag33, alpha)
+        assert extension.restriction_semiregular(ext, alpha)
+        assert sorted(len(f) for f in ext.fibers) == [1] + [2] * 13
 
 
 def test_explicit_extension_conditions_fail(ag23):
     with pytest.raises(ConditionsFail):
         extension.explicit_extension(ag23, 0)
-    with pytest.raises(NotEquivalenced):
-        dih = permgroup.orbital_scheme(
-            permgroup.group_closure([(1, 2, 3, 0), (0, 3, 2, 1)]))
-        extension.explicit_extension(dih, 0)
+    dih = permgroup.orbital_scheme(
+        permgroup.group_closure([(1, 2, 3, 0), (0, 3, 2, 1)]))
+    for build in (lambda: extension.explicit_extension(dih, 0),
+                  lambda: extension.direct_blocks(dih)):
+        with pytest.raises(NotEquivalenced):
+            build()
 
 
 def test_closure_fixpoint_and_2transitive(z3):
@@ -253,7 +274,7 @@ def test_extension_fibers_match_stabilizer_orbits(c67k2):
     G = permgroup.automorphism_group(c67k2)
     orbits = set(permgroup.point_stabilizer_orbits(G, 0))
     ext = extension.explicit_extension(c67k2, 0)
-    fibers = {tuple(int(x) for x in f) for f in ext.config.fibers}
+    fibers = {tuple(int(x) for x in f) for f in ext.fibers}
     assert orbits == fibers
 
 
@@ -358,11 +379,11 @@ def test_explicit_extension_composition_branch(c151k3):
     small_blocks = [(u, v) for u in nond for v in nond
                     if len(cc_core.complex_product(c151k3, int(star[u]), v)) < k]
     assert small_blocks
-    res = extension.explicit_extension(c151k3, 0)
-    assert res.semiregular
-    assert sorted(len(f) for f in res.config.fibers) == [1] + [3] * 50
+    ext = extension.explicit_extension(c151k3, 0)
+    assert extension.restriction_semiregular(ext, 0)
+    assert sorted(len(f) for f in ext.fibers) == [1] + [3] * 50
     clo = extension.coherent_closure(c151k3, {0})
-    assert cc_core.same_partition(res.config, clo)
+    assert cc_core.same_partition(ext, clo)
 
 
 def test_closure_matches_naive_wl_oracle(ag23, z3):
@@ -406,8 +427,8 @@ def test_extension_equals_stabilizer_orbitals_gf67(c67k2):
     # give one partition
     G = permgroup.automorphism_group(c67k2)
     orb = permgroup.orbital_scheme(G.stabilizer(0))
-    res = extension.explicit_extension(c67k2, 0)
-    assert cc_core.same_partition(orb, res.config)
+    ext = extension.explicit_extension(c67k2, 0)
+    assert cc_core.same_partition(orb, ext)
 
 
 def test_splitting_kernels_match_naive_oracles(corpus, c151k3):
@@ -490,8 +511,8 @@ def test_explicit_extension_golden_colors(ag33, c67k2, c151k3):
              "cyclotomic-151-k3": c151k3}
     for name, pins in GOLDEN_EXPLICIT.items():
         for alpha, pin in enumerate(pins):
-            res = extension.explicit_extension(named[name], alpha)
-            colors = np.ascontiguousarray(res.config.colors, dtype=np.int64)
+            ext = extension.explicit_extension(named[name], alpha)
+            colors = np.ascontiguousarray(ext.colors, dtype=np.int64)
             assert hashlib.sha256(colors.tobytes()).hexdigest()[:16] == pin, \
                 (name, alpha)
 

@@ -235,11 +235,8 @@ def _assert_matches_enumeration(G, name):
     return elements
 
 
-def test_bsgs_matches_enumeration(corpus):
-    # corpus automorphism groups plus the random groups of the fuzz test:
-    # generators preserve every color, the BSGS order and membership agree
-    # with the breadth-first element list, and for n <= 8 the group is the
-    # brute-force automorphism set
+def _fuzz_groups():
+    """The random groups of the fuzz test, 40 of degree 2 to 6."""
     rng = np.random.default_rng(99)
     fuzz = []
     for _ in range(40):
@@ -247,8 +244,16 @@ def test_bsgs_matches_enumeration(corpus):
         gens = [tuple(map(int, rng.permutation(n)))
                 for _ in range(int(rng.integers(1, 3)))]
         fuzz.append(permgroup.group_closure(gens))
+    return fuzz
+
+
+def test_bsgs_matches_enumeration(corpus):
+    # corpus automorphism groups plus the random groups of the fuzz test:
+    # generators preserve every color, the BSGS order and membership agree
+    # with the breadth-first element list, and for n <= 8 the group is the
+    # brute-force automorphism set
     cases = [(name, cfg) for name, cfg in corpus.items()]
-    for i, G in enumerate(fuzz):
+    for i, G in enumerate(_fuzz_groups()):
         _assert_matches_enumeration(G, f"fuzz-{i}")
         cases.append((f"fuzz-{i}-orbitals", permgroup.orbital_scheme(G)))
     for name, cfg in cases:
@@ -266,6 +271,40 @@ def test_stabilizer_is_a_group():
     assert H.order == 4 and all(g[2] == 2 for g in H.generators)
     assert H.orbits() == [(0, 1, 3, 4), (2,)]
     assert G.stabilizer(0).stabilizer(1).order == 1
+
+
+def test_stabilizer_is_read_off_the_chain(monkeypatch):
+    # G_alpha for the first base point alpha is the tail of the chain, with
+    # no Schreier-Sims run (a second run cost is_frobenius 2.2 s on
+    # Aut(K_61), 2 CPUs); any other alpha re-bases once.  Either way the
+    # stabilizer equals the one Schreier-Sims builds from the strong
+    # generators that fix alpha
+    schreier_sims, calls = permgroup._schreier_sims, []
+
+    def counted(*args):
+        calls.append(args)
+        return schreier_sims(*args)
+
+    groups = _fuzz_groups() + [_agl15(), constructors.frobenius_example_group(2, 3)]
+    monkeypatch.setattr(permgroup, "_schreier_sims", counted)
+    for i, G in enumerate(groups):
+        for alpha in sorted({*G.base[:1], 0, G.n - 1}):
+            calls.clear()
+            H = G.stabilizer(alpha)
+            first = G.base[:1] == (alpha,)
+            assert len(calls) == (0 if first else 1), (i, alpha)
+            chain = G if first else permgroup.PermutationGroup(
+                G.n, G.strong_generators, base=(alpha,))
+            ref = permgroup.PermutationGroup(
+                G.n, [s for s in chain.strong_generators if s[alpha] == alpha],
+                base=chain.base[1:])
+            assert (H.order, H.orbits(), H.base, H.strong_generators) == \
+                (ref.order, ref.orbits(), ref.base, ref.strong_generators), (i, alpha)
+            assert all(s in H for s in ref.strong_generators), (i, alpha)
+    k12 = cc_core.validate_config(np.ones((12, 12), dtype=int) - np.eye(12, dtype=int))
+    G = permgroup.automorphism_group(k12)
+    calls.clear()
+    assert not permgroup.is_frobenius(G) and calls == []
 
 
 def _timed(fn, *args):
