@@ -269,7 +269,8 @@ def t_condition(cfg, t):
     if n > T_CONDITION_POINT_CAP:
         raise TooLarge(f"degree {n} exceeds t-condition cap {T_CONDITION_POINT_CAP}")
     r = cfg.rank
-    C = cfg.colors
+    # the words C[a] * r + C[b] are codes below r^2
+    C = cfg.colors.astype(cc_core._code_dtype(r))
     flat = C.ravel()
     order = np.argsort(flat, kind="stable")
     starts = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=r))))
@@ -361,7 +362,7 @@ def _design_blocks(cfg):
     with the diagonal color relabeled past the others so that alpha sorts
     last and the first n - 1 columns are the blocks.  Every row of a
     scheme holds each color s on valencies[s] points, so the runs line up."""
-    narrow = cc_core._narrow_copy(cfg.colors, cfg.rank)
+    narrow = np.array(cfg.colors)
     # an order-preserving relabeling of the other colors onto 0..r-2
     narrow -= narrow > cfg.identity_color
     np.fill_diagonal(narrow, cfg.rank - 1)
@@ -377,14 +378,16 @@ def design_from_scheme(cfg):
 
     The coverage of a point pair x != y is the number of alpha with
     C[alpha, x] == C[alpha, y]: that color is never diagonal, since only
-    alpha == x makes C[alpha, x] diagonal."""
+    alpha == x makes C[alpha, x] diagonal.  As C[alpha, x] is the star of
+    C[x, alpha] and the star map is a bijection, it is also the number of
+    alpha with C[x, alpha] == C[y, alpha], read off the rows."""
     _require_scheme(cfg)
     n = cfg.n
     sizes = tuple(int(cfg.valencies[s]) for s in cfg.nondiagonal_colors)
-    columns = cc_core._narrow_copy(cfg.colors.T, cfg.rank)
+    rows = cfg.colors
     cmin, cmax = n, 0
     for x in range(n - 1):
-        cov = (columns[x + 1:] == columns[x]).sum(axis=1)
+        cov = (rows[x + 1:] == rows[x]).sum(axis=1)
         cmin, cmax = min(cmin, int(cov.min())), max(cmax, int(cov.max()))
     coverage = (cmin, cmax) if n > 1 else (0, 0)
     k = sizes[0] if sizes and len(set(sizes)) == 1 else None

@@ -1,11 +1,13 @@
 """Coherent configurations: color-matrix data model and intersection numbers.
 
 A configuration on n points is stored as an n x n integer matrix of relation
-ids ("colors").  ``validate_config`` checks the three defining axioms (the
-diagonal is a union of colors, the color partition is transpose-closed, and
-all triple intersection counts are constant on each color), then returns an
-immutable ``CoherentConfig`` carrying the star map, fibers, valencies and the
-full intersection tensor, built on first read.
+ids ("colors"), read-only and in the narrowest type for its rank r
+(``_color_dtype``: uint8 up to r = 256, uint16 up to 65 536, else int32).
+``validate_config`` checks the three defining axioms (the diagonal is a
+union of colors, the color partition is transpose-closed, and all triple
+intersection counts are constant on each color), then returns an immutable
+``CoherentConfig`` carrying the star map, fibers, valencies and the full
+intersection tensor, built on first read.
 
 Conventions:
 
@@ -33,6 +35,11 @@ Conventions:
   rebuilt from one row signature per fiber (``_reference_signatures``) and
   packed, so a caller that never reads the tensor (a one-point extension
   asked only for its rank and fibers) pays for neither.
+* Every layer builds its color matrices in the color type, and any
+  arithmetic on a color array first casts the array with ``astype``, to a
+  code type (``_code_dtype``) or to int64.  Scalar promotion is never relied
+  on: numpy 2 keeps a uint8 array uint8 when multiplied by an int64 scalar
+  (NEP 50), and numpy 1.x picks the result type from the scalar's value.
 """
 
 from __future__ import annotations
@@ -49,7 +56,12 @@ from .errors import (
 )
 
 TENSOR_BUILD_CELLS = 1 << 16    # cells of ``ref`` packed per step of the tensor build
-FIRST_CELLS_BLOCK = 1 << 16     # cells scanned per step of ``first_cells``
+BLOCK_CELLS = 1 << 14           # cells per step of every other blocked n^2 pass
+
+
+def _color_dtype(r):
+    """The narrowest integer type that holds every id 0..r-1."""
+    return np.dtype(np.uint8 if r <= 1 << 8 else np.uint16 if r <= 1 << 16 else np.int32)
 
 
 def first_cells(ids):
@@ -60,8 +72,8 @@ def first_cells(ids):
     id has been seen, so no index array of the matrix's size is made."""
     flat = ids.ravel()
     first = np.full(int(flat.max()) + 1, flat.size, dtype=np.int64)
-    for lo in range(0, flat.size, FIRST_CELLS_BLOCK):
-        block = flat[lo:lo + FIRST_CELLS_BLOCK]
+    for lo in range(0, flat.size, BLOCK_CELLS):
+        block = flat[lo:lo + BLOCK_CELLS]
         np.minimum.at(first, block, np.arange(lo, lo + block.size, dtype=np.int64))
         if first.max() < flat.size:
             break
@@ -69,13 +81,14 @@ def first_cells(ids):
 
 
 def canonicalize_colors(colors):
-    """Relabel color ids to first-occurrence order in a row-major scan."""
-    colors = np.ascontiguousarray(colors, dtype=np.int64)
+    """Relabel color ids to first-occurrence order in a row-major scan; the
+    result is a new matrix in the color type of its rank."""
+    colors = np.asarray(colors)
     first = first_cells(colors)
     r = first.size
     order = np.argsort(first, kind="stable")
-    relabel = np.empty(r, dtype=np.int64)
-    relabel[order] = np.arange(r, dtype=np.int64)
+    relabel = np.empty(r, dtype=_color_dtype(r))
+    relabel[order] = np.arange(r)
     return relabel[colors]
 
 
@@ -134,7 +147,9 @@ class CoherentConfig:
 
     Attributes
     ----------
-    colors : (n, n) int array of relation ids
+    colors : (n, n) read-only matrix of relation ids 0..r-1, in the
+        narrowest type for the rank r: uint8 up to r = 256, uint16 up to
+        65 536, else int32 (``_color_dtype``)
     star : length-r array, star[s] = s*
     diagonal_colors : tuple of ids covering the diagonal
     fibers : tuple of point arrays, ordered by diagonal color id
@@ -220,13 +235,6 @@ class CoherentConfig:
 def _require_scheme(cfg):
     if not cfg.is_scheme:
         raise NotAScheme(f"configuration has {len(cfg.fibers)} fibers")
-
-
-def _narrow_copy(colors, r):
-    """A copy of a color matrix with ids 0..r-1 in the narrowest integer
-    type that holds them."""
-    dtype = np.uint8 if r <= 1 << 8 else np.uint16 if r <= 1 << 16 else np.int32
-    return np.array(colors, dtype=dtype, order="C")
 
 
 def _code_dtype(r):
@@ -339,14 +347,27 @@ def _fingerprint_classes(colors, r):
     ids in row-major first-occurrence order, independent of the weights."""
     n = colors.shape[0]
     weights = _fingerprint_weights(2 * r)
-    digests = (weights[:r][colors] @ weights[r:][colors]).ravel()
-    flat = colors.ravel()
+    right = weights[r:][colors]
+    digests = np.empty((n, n), dtype=np.uint64)
+    step = max(1, BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        np.matmul(weights[:r][colors[lo:lo + step]], right, out=digests[lo:lo + step])
+    del right
+    digests, flat = digests.ravel(), colors.ravel()
     order = np.lexsort((digests, flat))
+    # a pair opens a class when its old color or its digest differs from
+    # the previous pair's in sorted order; compared a block at a time
     opens = np.ones(n * n, dtype=bool)
-    opens[1:] = (flat[order[1:]] != flat[order[:-1]]) | (
-        digests[order[1:]] != digests[order[:-1]])
-    groups = np.empty(n * n, dtype=np.int64)
-    groups[order] = np.cumsum(opens) - 1
+    for lo in range(1, n * n, BLOCK_CELLS):
+        at = order[lo - 1:lo + BLOCK_CELLS]
+        ranked = digests[at]
+        np.not_equal(ranked[1:], ranked[:-1], out=opens[lo:lo + BLOCK_CELLS])
+        ranked = flat[at]
+        opens[lo:lo + BLOCK_CELLS] |= ranked[1:] != ranked[:-1]
+    del digests
+    groups = np.empty(n * n, dtype=np.int32)
+    groups[order] = np.cumsum(opens, dtype=np.int32)
+    groups -= 1
     return canonicalize_colors(groups.reshape(n, n))
 
 
@@ -355,13 +376,13 @@ def _exact_regroup(colors, r):
     n = colors.shape[0]
     colors_t = _code_matrix(colors, r)
     mapping = {}
-    new = np.empty((n, n), dtype=np.int64)
+    new = np.empty((n, n), dtype=np.int32)
     for alpha in range(n):
         sig = _row_signatures(colors_t, colors[alpha], r)
         for gamma in range(n):
             key = (int(colors[alpha, gamma]), sig[gamma].tobytes())
             new[alpha, gamma] = mapping.setdefault(key, len(mapping))
-    return new
+    return new.astype(_color_dtype(len(mapping)))
 
 
 def _weisfeiler_leman(colors):
@@ -410,14 +431,18 @@ def validate_config(matrix, *, canonicalize=True):
     read.  With ``canonicalize`` the ids are first relabeled to row-major
     first-occurrence order.
     """
-    colors = np.asarray(matrix, dtype=np.int64)
-    # either way a fresh array, so the caller's matrix is never frozen
-    return _validated(colors if canonicalize else colors.copy(), canonicalize)
+    colors = np.asarray(matrix)
+    if colors.dtype.kind not in "iu":
+        colors = colors.astype(np.int64)
+    # a copy either way, so the caller's matrix is never frozen
+    return _validated(colors, canonicalize, copy=True)
 
 
-def _validated(colors, canonicalize):
-    """``validate_config`` of an int64 matrix that the caller hands over:
-    unless ``canonicalize``, it becomes the configuration's frozen colors."""
+def _validated(colors, canonicalize, copy=False):
+    """``validate_config`` of an integer matrix.  Unless ``canonicalize``
+    or ``copy``, a matrix that the caller hands over in the color type of
+    its rank becomes the configuration's frozen colors; any other is copied
+    into that type."""
     if colors.ndim != 2 or colors.shape[0] != colors.shape[1]:
         raise ValueError("color matrix must be square")
     n = colors.shape[0]
@@ -425,20 +450,23 @@ def _validated(colors, canonicalize):
         raise ValueError("empty point set")
     if colors.min() < 0:
         raise ValueError("negative relation id")
+    # contiguous ids are fewer than the n^2 cells, so a larger one fails
+    # before anything is sized by it
     r = int(colors.max()) + 1
-    if np.bincount(colors.ravel(), minlength=r).min() == 0:
+    if r > n * n or first_cells(colors).max() == colors.size:
         raise ValueError("relation ids must be contiguous from 0")
     if canonicalize:
         colors = canonicalize_colors(colors)
+    else:
+        colors = colors.astype(_color_dtype(r), copy=copy)
     return _checked_config(colors, r)
 
 
 def _checked_config(colors, r, verified=False):
     """Check S1, S2, fibers and valencies, then S3 unless ``verified``
-    says that it has already passed.
-
-    Every check past S1 reads one copy of the colors in the narrowest
-    integer type (``_narrow_copy``), so no n^2 temporary is wider than it."""
+    says that it has already passed.  ``colors`` is in the color type of
+    ``r`` and becomes the configuration's colors, so no n^2 temporary here
+    is wider than it."""
     n = colors.shape[0]
     # The packed tensor build needs every key*(n+1) + count below 2^63.
     if r ** 3 * (n + 1) >= 2 ** 63:
@@ -447,7 +475,10 @@ def _checked_config(colors, r, verified=False):
     # S1: a color that meets the diagonal must lie inside it.
     diag = colors.diagonal().copy()
     diag_counts = np.bincount(diag, minlength=r)
-    total_counts = np.bincount(colors.ravel(), minlength=r)
+    # bincount copies its input to intp, so it reads a block of rows at a time
+    step = max(1, BLOCK_CELLS // n)
+    total_counts = sum(np.bincount(colors[lo:lo + step].ravel(), minlength=r)
+                       for lo in range(0, n, step))
     mixed = np.flatnonzero((diag_counts > 0) & (diag_counts != total_counts))
     if mixed.size:
         s = int(mixed[0])
@@ -459,10 +490,9 @@ def _checked_config(colors, r, verified=False):
     # S2: the transpose of each color is a single color.  star[s] is the
     # color at the transpose of the first cell of s, and every cell of s
     # must have it at its transpose.
-    work = _narrow_copy(colors, r)
-    first = first_cells(work)
-    star = work[first % n, first // n]
-    if not (star[work] == work.T).all():
+    first = first_cells(colors)
+    star = colors[first % n, first // n]
+    if not (star[colors] == colors.T).all():
         raise _split_transpose(colors, r)
     star = star.astype(np.int64)
     if not np.array_equal(star[star], np.arange(r)):
@@ -476,14 +506,14 @@ def _checked_config(colors, r, verified=False):
     fibers = tuple(np.flatnonzero(diag == d) for d in diagonal_colors)
     relation_source = point_fiber[first // n]
     if len(fibers) > 1:
-        row_fiber = point_fiber.astype(work.dtype)[:, None]
-        if not (relation_source.astype(work.dtype)[work] == row_fiber).all():
-            raise _crossed_source_fibers(work, point_fiber, len(fibers))
+        row_fiber = point_fiber.astype(colors.dtype)[:, None]
+        if not (relation_source.astype(colors.dtype)[colors] == row_fiber).all():
+            raise _crossed_source_fibers(colors, point_fiber, len(fibers))
     relation_target = relation_source[star]
 
     # Valencies: |alpha·s| constant over the source fiber (a special case of
     # S3 with the triple (s, s*, 1_fiber), checked here for a sharper error).
-    valencies, s = _source_valencies(work, fibers, relation_source, total_counts)
+    valencies, s = _source_valencies(colors, fibers, total_counts)
     if s is not None:
         members = fibers[relation_source[s]]
         column = np.count_nonzero(colors[members] == s, axis=1)
@@ -500,15 +530,15 @@ def _checked_config(colors, r, verified=False):
     # row-major first occurrence of every color, so an error names the first
     # deviating pair and the first pair of its color, the same on every run.
     if not verified:
-        first_cell, bad = _verify_classes(work, r)
+        first_cell, bad = _verify_classes(colors, r)
         if bad is not None:
             alpha, gamma = bad
             t = int(colors[alpha, gamma])
             t_row, t_col = divmod(int(first_cell[t]), n)
-            colors_t = _code_matrix(work, r)
+            colors_t = _code_matrix(colors, r)
             code, c1, c2 = _first_multiset_difference(
-                _row_signatures(colors_t, work[alpha], r)[gamma],
-                _row_signatures(colors_t, work[t_row], r)[t_col])
+                _row_signatures(colors_t, colors[alpha], r)[gamma],
+                _row_signatures(colors_t, colors[t_row], r)[t_col])
             rr, ss = divmod(code, r)
             raise AxiomS3Violated(
                 f"c[{rr}][{ss}][{t}] is {c1} at pair ({alpha},{gamma}) but {c2} at "
@@ -524,7 +554,7 @@ def _checked_config(colors, r, verified=False):
 def _split_transpose(colors, r):
     """The S2 error naming the first color whose transpose is split, and
     the colors it is split across."""
-    pair_codes = np.unique(colors.ravel() * np.int64(r) + colors.T.ravel())
+    pair_codes = np.unique(colors.astype(np.int64).ravel() * r + colors.T.ravel())
     c_of = pair_codes // r
     dup = int(c_of[np.flatnonzero(c_of[1:] == c_of[:-1])[0]])
     parts = pair_codes[c_of == dup] % r
@@ -534,31 +564,37 @@ def _split_transpose(colors, r):
 
 def _row_runs(rows):
     """The flat start and the length of every run of equal entries in the
-    rows of a row-sorted matrix."""
+    rows of a row-sorted matrix of fewer than 2^31 cells, in int32."""
     opens = np.ones(rows.shape, dtype=bool)
     np.not_equal(rows[:, 1:], rows[:, :-1], out=opens[:, 1:])
-    starts = np.flatnonzero(opens)
-    return starts, np.diff(starts, append=rows.size)
+    starts = np.flatnonzero(opens).astype(np.int32)
+    return starts, np.diff(starts, append=np.int32(rows.size))
 
 
-def _source_valencies(colors, fibers, relation_source, total_counts):
+def _source_valencies(colors, fibers, total_counts):
     """valencies[s] = |alpha·s| at the first point alpha of the source fiber
     of s, and the first color s whose count differs at some point of that
     fiber, or None.
 
-    Counted as the runs of (point, color) in the row-sorted matrix: every
-    point of the fiber holds valencies[s] cells of s exactly when each
-    point holding one does and the total is the fiber size times that."""
-    by_row = np.sort(colors, axis=1)
-    starts, counts = _row_runs(by_row)
-    point, color = starts // colors.shape[1], by_row.ravel()[starts]
-    source_point = np.array([f[0] for f in fibers])[relation_source]
-    at_source = point == source_point[color]
+    A row holds only colors whose source fiber is its point's (checked
+    before), so the first row of each fiber gives the valencies of its
+    colors.  Every point of the fiber holds valencies[s] cells of s exactly
+    when each point holding one does and the total is the fiber size times
+    that.  Those counts are the runs of the row-sorted matrix, taken a
+    block of rows at a time."""
+    n = colors.shape[0]
     valencies = np.zeros(total_counts.size, dtype=np.int64)
-    valencies[color[at_source]] = counts[at_source]
-    fiber_size = np.array([f.size for f in fibers])[relation_source]
-    off = total_counts != fiber_size * valencies
-    off[color[counts != valencies[color]]] = True
+    off = np.zeros(total_counts.size, dtype=bool)
+    for points in fibers:
+        ids, counts = np.unique(colors[points[0]], return_counts=True)
+        valencies[ids] = counts
+        off[ids] = total_counts[ids] != points.size * counts
+    step = max(1, BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        by_row = np.sort(colors[lo:lo + step], axis=1)
+        starts, counts = _row_runs(by_row)
+        color = by_row.ravel()[starts]
+        off[color[counts != valencies[color]]] = True
     return valencies, int(np.flatnonzero(off)[0]) if off.any() else None
 
 
@@ -579,7 +615,7 @@ def _tensor_from_signatures(ref, r):
     end = 0
     for lo, block in blocks:
         starts, counts = _row_runs(block)
-        keys = block.ravel()[starts] * np.int64(r) + (starts // n + lo)
+        keys = block.ravel()[starts].astype(np.int64) * r + (starts // n + lo)
         packed[end:end + starts.size] = keys * (n + 1) + counts
         end += starts.size
     packed.sort()
@@ -591,7 +627,7 @@ def _tensor_from_signatures(ref, r):
 def _crossed_source_fibers(colors, point_fiber, nf):
     """The error naming the first color whose pairs start in more than one
     of the nf fibers, and those fibers."""
-    codes = np.unique(colors * np.int64(nf) + point_fiber[:, None])
+    codes = np.unique(colors.astype(np.int64) * nf + point_fiber[:, None])
     owners = codes // nf
     dup = int(owners[np.flatnonzero(owners[1:] == owners[:-1])[0]])
     return AxiomS3Violated(
@@ -606,6 +642,17 @@ def _first_multiset_difference(a, b):
     cb = np.searchsorted(b, codes, side="right") - np.searchsorted(b, codes, side="left")
     i = int(np.flatnonzero(ca != cb)[0])
     return int(codes[i]), int(ca[i]), int(cb[i])
+
+
+def tensor_support(cfg):
+    """The dense (rank, rank, rank) boolean array of c_{rs}^t > 0, read off
+    the reference signatures, so that no tensor is built for it: row t of
+    ``_reference_signatures`` holds the codes r*rank + s of every nonzero
+    c_{rs}^t."""
+    R = cfg.rank
+    P = np.zeros((R * R, R), dtype=bool)
+    P[_reference_signatures(cfg), np.arange(R)[:, None]] = True
+    return P.reshape(R, R, R)
 
 
 def complex_product(cfg, r, s):
@@ -716,7 +763,7 @@ def partition_bijection(cfg1, cfg2):
     if cfg1.n != cfg2.n:
         return None
     r1, r2 = cfg1.rank, cfg2.rank
-    codes = np.unique(cfg1.colors.ravel() * np.int64(r2) + cfg2.colors.ravel())
+    codes = np.unique(cfg1.colors.astype(np.int64).ravel() * r2 + cfg2.colors.ravel())
     if codes.size != r1 or codes.size != r2:
         return None
     a = codes // r2

@@ -1,10 +1,15 @@
 """Command-line surface: construct scheme files, analyze them, run one-point
 extensions, and check structural properties.
 
-Scheme files are canonical JSON ({"n", "rank", "colors", "metadata"}) with
-integer color entries only; serialization is byte-stable, so golden files
-diff cleanly.  Exit codes: 0 ok, 2 invalid input, 3 method preconditions
-fail, 4 resource caps exceeded.
+Scheme files are canonical JSON ({"n", "rank", "colors", "metadata"});
+serialization is byte-stable, so golden files diff cleanly.  "n" and
+"rank" are JSON integers, and "colors" is the matrix in row-major order as
+one flat list of n^2 non-negative JSON integers below the rank: no nested
+list, sign, fraction, exponent, string or boolean, no leading zero and no
+trailing comma.  ``load_scheme`` parses that list straight into the color
+type of the rank and raises SchemeFileError on anything else.  Exit codes:
+0 ok, 2 invalid input, 3 method preconditions fail, 4 resource caps
+exceeded.
 
 Each verb imports the modules it runs when it starts, so a command loads
 only those.  It imports modules, not names, so a module attribute replaced
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import Counter
 
@@ -59,17 +65,115 @@ def write_scheme(path, cfg, metadata=None):
         handle.write(dump_scheme(cfg, metadata))
 
 
+# a JSON string, or a bracket or brace: what the scan for "colors" steps on
+_JSON_TOKENS = re.compile(rb'"(?:[^"\\]|\\.)*"|[][{}]', re.S)
+_KEY_OPENS_LIST = re.compile(rb"\s*:\s*\[")
+_JSON_SPACE = np.frombuffer(b" \t\n\r", dtype=np.uint8)
+SCHEME_PARSE_BYTES = 1 << 15    # bytes of the colors list parsed per step
+
+
+def _colors_list(data):
+    """The bounds of the body of the top-level "colors" list of a scheme
+    file, and the file with that body cut out.  The body may hold no string
+    or bracket, so the scan steps over it at once."""
+    tokens = _JSON_TOKENS.finditer(data)
+    depth, span = 0, None
+    for token in tokens:
+        text = token.group()
+        if text in (b"{", b"["):
+            depth += 1
+        elif text in (b"}", b"]"):
+            depth -= 1
+        elif depth == 1 and text == b'"colors"' and _KEY_OPENS_LIST.match(data, token.end()):
+            if span is not None:
+                raise SchemeFileError("duplicate colors key")
+            opening, closing = next(tokens), next(tokens, None)
+            if closing is None or closing.group() != b"]":
+                raise SchemeFileError("colors must be a flat list of non-negative integers")
+            span = (opening.end(), closing.start())
+    if span is None:
+        raise SchemeFileError("no colors list")
+    return span, data[:span[0]] + data[span[1]:]
+
+
+def _parse_ids(data, span, count, dtype, rank):
+    """The ids in ``data[span[0]:span[1]]``, the body of a colors list, as
+    a flat array of ``dtype``: ``count`` comma-separated JSON integers
+    0..rank-1, parsed a bounded chunk at a time."""
+    out = np.empty(count, dtype=dtype)
+    (lo, size), end = span, 0
+    while lo < size:
+        hi = size
+        if size - lo > SCHEME_PARSE_BYTES:
+            # cut after a comma, so that no number is split
+            hi = data.rfind(b",", lo, lo + SCHEME_PARSE_BYTES) + 1
+            if hi <= lo:
+                raise SchemeFileError("colors entry out of range")
+        ids = _chunk_ids(data[lo:hi])
+        if ids.size and int(ids.max()) >= rank:
+            raise SchemeFileError(
+                f"file declares rank {rank} but holds id {int(ids.max())}")
+        if end + ids.size > count:
+            break
+        out[end:end + ids.size] = ids
+        lo, end = hi, end + ids.size
+    if lo < size or end != count:
+        raise SchemeFileError(f"colors must hold n^2 = {count} entries")
+    return out
+
+
+def _chunk_ids(chunk):
+    """The integers of a piece of a colors list, as int64: JSON integers
+    without sign, separated by commas and JSON whitespace.  A trailing
+    comma leaves one entry fewer than the commas count, which
+    ``_parse_ids`` rejects."""
+    raw = np.frombuffer(chunk, dtype=np.uint8)
+    digit = (raw >= ord("0")) & (raw <= ord("9"))
+    comma = raw == ord(",")
+    if not (digit | comma | np.isin(raw, _JSON_SPACE)).all():
+        raise SchemeFileError("colors must be a flat list of non-negative integers")
+    opens = digit.copy()
+    opens[1:] &= ~digit[:-1]
+    # numbers and commas alternate, from a number on
+    is_number = digit[opens | comma]
+    if not is_number[::2].all() or is_number[1::2].any():
+        raise SchemeFileError("colors must be a flat list of non-negative integers")
+    starts = np.flatnonzero(opens)
+    ends = np.flatnonzero(digit & ~np.append(digit[1:], False))
+    # an id of 19 digits or more is out of any rank, and could overflow int64
+    if (ends - starts).max(initial=0) >= 18:
+        raise SchemeFileError("colors entry out of range")
+    if ((raw[starts] == ord("0")) & (ends > starts)).any():
+        raise SchemeFileError("colors entry has a leading zero")
+    return np.fromstring(chunk, dtype=np.int64, sep=",")
+
+
 def load_scheme(path):
-    """Read and validate a scheme file; returns (config, metadata)."""
+    """Read and validate a scheme file; returns (config, metadata).
+
+    The colors list (its grammar is in the module docstring) is parsed
+    straight into the color type of the declared rank, a bounded chunk at a
+    time, and only once the declared n^2 entries are counted in the file;
+    every other part of the file must pass ``json.loads``."""
     try:
         with open(path, "rb") as handle:
-            payload = json.loads(handle.read().decode())
-        n = int(payload["n"])
-        rank = int(payload["rank"])
-        # the parsed list is dropped here, before validation allocates
-        colors = np.array(payload.pop("colors"), dtype=np.int64).reshape(n, n)
+            data = handle.read()
+        span, rest = _colors_list(data)
+        payload = json.loads(rest)
+        n, rank = payload["n"], payload["rank"]
+        if payload["colors"] != []:
+            raise SchemeFileError("duplicate colors key")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise SchemeFileError(f"cannot read scheme file {path}: {exc}") from exc
+    if type(n) is not int or type(rank) is not int or n < 1 or not 1 <= rank <= n * n:
+        raise SchemeFileError(
+            f"scheme file {path}: n and rank must be integers with "
+            "n >= 1 and 1 <= rank <= n^2")
+    # one entry per comma, so the matrix is sized by the file, not by n
+    if data.count(b",", *span) + 1 != n * n:
+        raise SchemeFileError(f"scheme file {path}: colors must hold n^2 = {n * n} entries")
+    colors = _parse_ids(data, span, n * n, cc_core._color_dtype(rank), rank).reshape(n, n)
+    del data
     # the matrix is ours, so the configuration keeps it without a copy
     cfg = cc_core._validated(colors, canonicalize=False)
     if cfg.rank != rank:

@@ -5,8 +5,9 @@ semiregularity checks.
 
 The splitting sets of an equivalenced scheme are held as one boolean array
 D[i, j, l] over the non-diagonal colors, read off the support of the
-intersection tensor by matrix products; the pair and triple conditions are
-reductions over it, one row i at a time.  The explicit method gathers the
+intersection tensor (``cc_core.tensor_support``, which builds no tensor) by
+matrix products; the pair and triple conditions are reductions over it,
+one row i and a chunk of j at a time.  The explicit method gathers the
 blocks alpha·u x alpha·v as k x k arrays and partitions each either
 directly (by the colors of u*v when |u*v| equals the valency) or by
 composing the matchings through a relation w in D(u, v) (``direct_blocks``
@@ -32,6 +33,8 @@ from .errors import (
     ValidationFailed,
 )
 
+CONDITION_CELLS = 1 << 16     # (j, w, w') cells of the condition checks per step
+
 
 def _splitting_array(cfg):
     """All splitting sets of an equivalenced scheme, as (D, nond): D[i, j, l]
@@ -40,17 +43,16 @@ def _splitting_array(cfg):
     With P[a, b, t] = (c_ab^t > 0), the support of uu*·vv* is two
     contractions of P with the ww* rows, and w is in D(u, v) when that
     support meets ww* in one relation, 1_Omega (which lies in both).  Row u
-    at a time, so temporaries stay O(rank^2).  Every product counts 0/1
-    entries over at most rank < 2^24 terms, so float32 arithmetic is exact.
+    at a time, so temporaries stay O(rank^2) beside the rank^3 support P and
+    the m^3 result; the conditions read D in chunks (``_check_conditions``),
+    with O(chunk * m^2) scratch.  Every product counts 0/1 entries over at
+    most rank < 2^24 terms, so float32 arithmetic is exact.
     """
     if cc_core.is_equivalenced(cfg) is None:
         raise NotEquivalenced("splitting sets require an equivalenced scheme")
-    R = cfg.rank
     nond = cfg.nondiagonal_colors
     m = len(nond)
-    a, b, t, _ = cfg.tensor.arrays()
-    P = np.zeros((R, R, R), dtype=bool)
-    P[a, b, t] = True
+    P = cc_core.tensor_support(cfg)
     idx = np.array(nond, dtype=np.int64)
     ww = P[idx, cfg.star[idx]]                             # [w, t]
     wwf = ww.astype(np.float32)
@@ -94,18 +96,29 @@ def _triple_failures(D, i, js):
 
 def _check_conditions(D, nond):
     """Raise ConditionsFail at the first failing pair (i <= j), else at the
-    first failing triple (i <= j <= l), both in lexicographic order."""
+    first failing triple (i <= j <= l), both in lexicographic order.
+
+    Each row i is checked on chunks of j of CONDITION_CELLS // m^2 columns,
+    so the (chunk, m, m) scratch of both checks is O(CONDITION_CELLS), not
+    O(m^3)."""
     m = len(nond)
-    for i in range(m):
-        bad = _pair_failures(D, i, np.arange(i, m))
+    step = max(1, CONDITION_CELLS // (m * m))
+
+    def chunks():
+        for i in range(m):
+            for lo in range(i, m, step):
+                yield i, np.arange(lo, min(lo + step, m))
+
+    for i, js in chunks():
+        bad = _pair_failures(D, i, js)
         if bad.any():
-            raise ConditionsFail(nond[i], nond[i + int(np.argmax(bad))])
-    for i in range(m):
-        # row r of the slice is j = i + r; keep only l >= j
-        bad = np.triu(_triple_failures(D, i, np.arange(i, m)), k=i)
+            raise ConditionsFail(nond[i], nond[int(js[np.argmax(bad)])])
+    for i, js in chunks():
+        # keep only l >= j
+        bad = _triple_failures(D, i, js) & (np.arange(m) >= js[:, None])
         if bad.any():
             j, l = np.argwhere(bad)[0]
-            raise ConditionsFail(nond[i], nond[i + int(j)], nond[int(l)])
+            raise ConditionsFail(nond[i], nond[int(js[j])], nond[int(l)])
 
 
 def _check_nondiagonal(cfg, s):
@@ -197,7 +210,7 @@ def _composed_pieces(left, right, k, where):
     comp = right[blk[:, :, None, None], np.arange(k)[None, None, :, None],
                  left[:, :, None, :]].reshape(c, k * k, k)
     first = comp[:, :, 0]
-    pieces = np.empty((c, k, k), dtype=np.int64)
+    pieces = np.empty((c, k, k), dtype=left.dtype)
     pieces[blk, first] = comp
     named = np.zeros((c, k), dtype=bool)
     named[blk, first] = True
@@ -218,9 +231,7 @@ def direct_blocks(cfg):
     k = cc_core.is_equivalenced(cfg)
     if k is None:
         raise NotEquivalenced("direct blocks require an equivalenced scheme")
-    R = cfg.rank
-    a, b, _, _ = cfg.tensor.arrays()
-    size = np.bincount(a * R + b, minlength=R * R).reshape(R, R)
+    size = cc_core.tensor_support(cfg).sum(axis=2)
     direct = size[cfg.star] == k
     e = cfg.identity_color
     direct[e] = direct[:, e] = True
@@ -247,6 +258,7 @@ def explicit_extension(cfg, alpha):
     D, nond = _splitting_array(cfg)
     _check_conditions(D, nond)
     new = _extension_matrix(cfg, alpha, k, D, nond)
+    del D
     try:
         # the matrix is ours, so the configuration keeps it without a copy
         config = cc_core._validated(new, canonicalize=False)
@@ -262,7 +274,8 @@ def explicit_extension(cfg, alpha):
 
 
 def _extension_matrix(cfg, alpha, k, D, nond):
-    """The color matrix of the explicit extension.
+    """The color matrix of the explicit extension, in the color type of its
+    rank 1 + m + m(1 + mk).
 
     Every non-diagonal block alpha·u x alpha·v splits into k perfect
     matchings: the colors of u*v in a direct block (``direct_blocks``),
@@ -281,7 +294,7 @@ def _extension_matrix(cfg, alpha, k, D, nond):
     # pieces[i, j, q, a] = b: the cells (a, b) of the q-th piece of block (i, j)
     idx = np.array(nond, dtype=np.int64)
     direct = direct_blocks(cfg)[np.ix_(idx, idx)]
-    pieces = np.empty((m, m, k, k), dtype=np.int64)
+    pieces = np.empty((m, m, k, k), dtype=np.int32)
     pieces[direct] = _matchings(_blocks(colors, F, F)[direct])
     I, J = np.nonzero(~direct)
     if I.size:
@@ -301,7 +314,7 @@ def _extension_matrix(cfg, alpha, k, D, nond):
     # row 0; a cell left at -1 lies in no piece, one covered twice leaves
     # another uncovered
     mi = np.arange(m)[:, None, None, None]
-    local = np.full((m, m, k, k), -1, dtype=np.int64)
+    local = np.full((m, m, k, k), -1, dtype=np.int32)
     local[mi, mi.reshape(1, m, 1, 1), np.arange(k), pieces] = pieces[..., :1]
     if (local < 0).any():
         i, j = np.argwhere((local < 0).any(axis=(2, 3)))[0]
@@ -311,13 +324,14 @@ def _extension_matrix(cfg, alpha, k, D, nond):
     # Ids in fiber order: (e, e), then (e, v) for each v, then for each u
     # the block (u, e) followed by the k pieces of every (u, v).
     row_base = 1 + m + np.arange(m) * (1 + m * k)
-    ids = np.empty((n, n), dtype=np.int64)
+    color_type = cc_core._color_dtype(1 + m + m * (1 + m * k))
+    ids = np.empty((n, n), dtype=color_type)
     ids[0, 0] = 0
     ids[0, 1:] = 1 + np.repeat(np.arange(m), k)
     ids[1:, 0] = np.repeat(row_base, k)
     local += row_base[:, None, None, None] + 1 + k * mi.reshape(1, m, 1, 1)
     ids[1:, 1:] = local.transpose(0, 2, 1, 3).reshape(n - 1, n - 1)
-    new = np.empty((n, n), dtype=np.int64)
+    new = np.empty((n, n), dtype=color_type)
     new[np.ix_(order, order)] = ids
     return new
 
@@ -373,9 +387,13 @@ def coherent_closure(cfg, distinguished=()):
     if any(b < 0 or b >= n for b in dist):
         raise ValueError("distinguished point out of range")
     if dist:
-        marks = np.zeros(n, dtype=np.int64)
-        for i, b in enumerate(dist):
-            marks[b] = i + 1
-        base = np.int64(len(dist) + 1)
-        colors = colors * base * base + marks[:, None] * base + marks[None, :]
+        # color (c, marks of the row and column point) in base b = |dist| + 1
+        base = len(dist) + 1
+        code = cc_core._color_dtype(cfg.rank * base * base)
+        marks = np.zeros(n, dtype=code)
+        marks[dist] = np.arange(1, base)
+        colors = colors.astype(code)
+        colors *= base * base
+        colors += marks[:, None] * code.type(base)
+        colors += marks
     return cc_core._weisfeiler_leman(colors)

@@ -348,7 +348,8 @@ def _points(colors):
     partition: the points by their diagonal colors.  Rows suffice: in a
     coherent configuration colors[y, x] is the star of colors[x, y]."""
     _, root = np.unique(colors.diagonal(), return_inverse=True)
-    return equitable_refinement(lambda cells, m: colors * m + cells), root.ravel()
+    return (equitable_refinement(lambda cells, m: colors.astype(np.int64) * m + cells),
+            root.ravel())
 
 
 def _individualize(cells, v, m):

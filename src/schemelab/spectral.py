@@ -276,8 +276,9 @@ def terwilliger_dimension(cfg, alpha):
     ext = extension.coherent_closure(cfg, {alpha})
     r, R = cfg.rank, ext.rank
     first = cc_core.first_cells(ext.colors)
-    parent = cfg.colors.ravel()[first]
-    source, target = (cfg.colors[alpha][x] for x in np.divmod(first, cfg.n))
+    parent = cfg.colors.ravel()[first].astype(np.int64)
+    row = cfg.colors[alpha].astype(np.int64)
+    source, target = (row[x] for x in np.divmod(first, cfg.n))
     group = target * r + source
     sizes = np.bincount(group, minlength=r * r)
     g = int(sizes.max())

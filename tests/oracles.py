@@ -311,12 +311,13 @@ def t_condition_naive(colors, t):
     return verdicts
 
 
-def t_condition_per_pair(cfg, t):
+def t_condition_per_pair(cfg, t, relations=None):
     """t-condition one pair at a time: per relation, each pair's five colors
     to and from every other point are packed into one int64 word (r^6 must
     fit), sorted, and compared with the relation's first pair; for t = 4 the
     unordered types of the other point pairs are compared as sorted
-    (min, max) records of (word, cross color)."""
+    (min, max) records of (word, cross color).  Verdicts for ``relations``,
+    or for every relation."""
     n, r, C = cfg.n, cfg.rank, cfg.colors
     if r ** 6 > 2 ** 62:
         raise ValueError("rank too large for type packing")
@@ -330,7 +331,7 @@ def t_condition_per_pair(cfg, t):
     diag = C.diagonal().copy()
     idx = np.arange(n)
     verdicts = {}
-    for s in range(r):
+    for s in range(r) if relations is None else relations:
         ok = True
         ref3 = ref4 = None
         for alpha, beta in cfg.relation_pairs(s):
@@ -463,7 +464,7 @@ def tensor_from_signatures_argsort(ref, r):
     np.not_equal(ref[:, 1:], ref[:, :-1], out=starts[:, 1:])
     starts = np.flatnonzero(starts)
     counts = np.diff(starts, append=rows * n)
-    keys = ref.ravel()[starts] * np.int64(r) + starts // n
+    keys = ref.ravel()[starts].astype(np.int64) * r + starts // n
     order = np.argsort(keys)
     return keys[order], counts[order]
 

@@ -275,6 +275,30 @@ def test_t_condition_detects_irregularity():
     assert analysis.t_condition(pentagon, 4) == {0: True, 1: True, 2: True}
 
 
+def test_t_condition_on_uint8_colors_past_the_code_range():
+    # the product of the failing AG(2,5) fusion with the discrete
+    # configuration on 4 points: 100 points, rank 64, uint8 colors.  The
+    # words C[a] * 64 + C[b] run to 4095; taken in uint8 they wrap mod 256,
+    # keep only the first letter mod 4, and every FAIL turned into a pass.
+    # A product color fails exactly when its AG(2,5) factor does
+    fused = analysis.fuse(constructors.affine_scheme(2, 5),
+                          [(0,), (1,), (2, 3), (4, 5, 6)])
+    factor = oracles.t_condition_per_pair(fused, 4)
+    assert factor == {0: True, 1: True, 2: True, 3: False}
+    A = fused.colors.astype(np.int64)
+    cfg = cc_core.validate_config(
+        (A[:, None, :, None] * 16 + np.arange(16).reshape(1, 4, 1, 4)).reshape(100, 100))
+    assert cfg.rank == 64 and cfg.colors.dtype == np.uint8
+    verdicts = analysis.t_condition(cfg, 4)
+    x, y = np.divmod(cc_core.first_cells(cfg.colors), 100)
+    assert verdicts == {s: factor[int(A[x[s] // 4, y[s] // 4])] for s in range(64)}
+    assert sum(not v for v in verdicts.values()) == 16
+    fails, holds = (next(s for s, v in verdicts.items()
+                          if v is ok and s not in cfg.diagonal_colors) for ok in (False, True))
+    assert oracles.t_condition_per_pair(cfg, 4, relations=(fails, holds)) == \
+        {fails: False, holds: True}
+
+
 def _set_partitions(items):
     """Every partition of the list items into blocks, in a fixed order."""
     if not items:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from schemelab import cc_core, constructors, extension
+from schemelab import cc_core, cli, constructors, extension
 from schemelab.analysis import ColorBijection
 from schemelab.errors import (
     AxiomS1Violated,
@@ -116,15 +116,21 @@ def test_valency_violation_reports_first_color_and_point():
 
 
 @pytest.mark.parametrize("n", [256, 257])
-def test_narrow_types_at_their_boundaries(n):
-    # the regular scheme of Z_n has rank n: 256 is the last rank with a
-    # uint8 working copy and uint16 codes (r^2 = 65 536), 257 the first
-    # with a uint16 copy and int32 codes
+def test_narrow_types_at_their_boundaries(n, tmp_path):
+    # the regular scheme of Z_n has rank n: 256 is the last rank with
+    # uint8 colors and uint16 codes (r^2 = 65 536), 257 the first with
+    # uint16 colors and int32 codes; a dump and load keeps both
     cfg = constructors.regular_scheme(constructors.cyclic_group_table(n))
+    path = tmp_path / f"z{n}.json"
+    cli.write_scheme(path, cfg)
+    loaded, _ = cli.load_scheme(path)
+    assert cli.dump_scheme(loaded) == path.read_bytes()
+    assert np.array_equal(loaded.colors, cfg.colors)
     C = np.array(cfg.colors)
     assert cfg.rank == n and C[1, 0] == n - 1
     narrow = n == 256
-    assert cc_core._narrow_copy(C, n).dtype == (np.uint8 if narrow else np.uint16)
+    for colors in (cfg.colors, loaded.colors):
+        assert colors.dtype == cc_core._color_dtype(n) == (np.uint8 if narrow else np.uint16)
     assert cc_core._code_matrix(C, n).dtype == (np.uint16 if narrow else np.int32)
     ref = cc_core._reference_signatures(cfg)
     assert ref.dtype == (np.uint16 if narrow else np.int32)
@@ -167,17 +173,52 @@ def test_narrow_types_at_their_boundaries(n):
 
 def test_validation_peak_memory_at_c499k6():
     # 499 points, rank 84: the int64 S2 codes, their transpose and sort
-    # copy took 5.78 MiB; the uint8 working copy and uint16 codes leave
-    # the copied int64 colors as the largest part
+    # copy took 5.78 MiB; a uint8 working copy beside int64 colors 3.9 MiB;
+    # uint8 colors throughout 2.1 MiB, the S3 pass on uint16 codes the
+    # largest part
     colors = constructors.cyclotomic_scheme(constructors.FiniteField(499), 6).colors
     cfg, peak = oracles.traced_peak(cc_core.validate_config, colors)
     assert cfg.rank == 84 and np.array_equal(cfg.colors, colors)
-    assert peak <= 5 * 2**20
+    assert peak <= 3 * 2**20
 
 
 def test_noncontiguous_ids_rejected():
     with pytest.raises(ValueError):
         cc_core.validate_config([[0, 3], [3, 0]])
+
+
+def test_huge_ids_fail_before_anything_is_sized_by_them():
+    # contiguous ids stay below the n^2 cells, so id 10^9 on 2 points fails
+    # at once; a bincount sized by it asked for 7.45 GiB
+    def attempt(canonicalize):
+        with pytest.raises(ValueError, match="contiguous"):
+            cc_core.validate_config([[0, 10**9], [10**9, 0]], canonicalize=canonicalize)
+
+    for canonicalize in (True, False):
+        _, peak = oracles.traced_peak(attempt, canonicalize)
+        assert peak < 2**16
+
+
+def test_colors_are_narrow_and_read_only_on_every_path(tmp_path, c67k2):
+    # validate_config, a loaded file, the closure and the explicit
+    # extension all hold their colors in the narrowest type for the rank
+    path = tmp_path / "c67k2.json"
+    cli.write_scheme(path, c67k2)
+    loaded, _ = cli.load_scheme(path)
+    explicit = extension.explicit_extension(c67k2, 0)
+    closure = extension.coherent_closure(c67k2, {0})
+    validated = cc_core.validate_config(explicit.colors.astype(np.int64), canonicalize=False)
+    for cfg in (c67k2, loaded, explicit, closure, validated):
+        assert cfg.colors.dtype == cc_core._color_dtype(cfg.rank)
+        assert not cfg.colors.flags.writeable
+    assert (c67k2.colors.dtype, explicit.colors.dtype) == (np.uint8, np.uint16)
+    assert np.array_equal(loaded.colors, c67k2.colors)
+    assert np.array_equal(validated.colors, explicit.colors)
+    # past 65 536 colors: the discrete configuration on 257 points
+    discrete = cc_core.validate_config(np.arange(257 * 257).reshape(257, 257))
+    assert discrete.rank == 66049 and discrete.colors.dtype == np.int32
+    assert [cc_core._color_dtype(r) for r in (1, 256, 257, 65536, 65537)] == \
+        [np.uint8, np.uint8, np.uint16, np.uint16, np.int32]
 
 
 def test_first_cells_match_relation_pairs(corpus, c67k2):
@@ -312,7 +353,7 @@ def test_fiber_walk_matches_all_references_oracle(corpus, c67k2, c151k3):
     for cfg in configs:
         ref, first_cell, bad = oracles.verify_classes_all_references(
             cfg.colors, cfg.rank, cfg.colors)
-        for colors in (cfg.colors, cc_core._narrow_copy(cfg.colors, cfg.rank)):
+        for colors in (cfg.colors.astype(np.int64), cfg.colors):
             ours = cc_core._verify_classes(colors, cfg.rank)
             assert np.array_equal(ours[0], first_cell) and ours[1] is bad is None
         # the references rebuilt from one row per fiber are the oracle's
@@ -323,7 +364,7 @@ def test_fiber_walk_matches_all_references_oracle(corpus, c67k2, c151k3):
         for m in _fiber_corruptions(cfg):
             _, first_cell, bad = oracles.verify_classes_all_references(m, cfg.rank, m)
             assert bad is not None
-            for colors in (m, cc_core._narrow_copy(m, cfg.rank)):
+            for colors in (m.astype(np.int64), m.astype(cfg.colors.dtype)):
                 ours = cc_core._verify_classes(colors, cfg.rank)
                 assert np.array_equal(ours[0], first_cell) and ours[1] == bad
 

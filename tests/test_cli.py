@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -267,27 +268,32 @@ def test_analyze_rejects_corrupted_file(tmp_path, capsys, c67_file):
 
 def test_extend_never_builds_an_extension_tensor(c67_file, capsys, monkeypatch):
     # rank, fibers, semiregularity and agreement need no intersection
-    # numbers of the extension; only the explicit method reads the base's
-    built = []
-    rebuild = cc_core._reference_signatures
+    # numbers of the extension; the explicit method reads only the support
+    # of the base's, off its reference signatures, and builds no tensor
+    read, built = [], []
+    signatures, pack = cc_core._reference_signatures, cc_core._tensor_from_signatures
 
     def spy(cfg):
-        built.append(cfg.rank)
-        return rebuild(cfg)
+        read.append(cfg.rank)
+        return signatures(cfg)
 
     monkeypatch.setattr(cc_core, "_reference_signatures", spy)
+    monkeypatch.setattr(cc_core, "_tensor_from_signatures",
+                        lambda ref, r: built.append(r) or pack(ref, r))
     code, out, _ = run(capsys, "extend", str(c67_file), "--point", "0",
                        "--method", "both", "--json")
     assert code == 0 and json.loads(out)["rank"] == 2245
-    assert built == [34]
+    assert read and set(read) == {34}
+    assert built == []
 
 
 def test_extend_peak_memory_stays_below_the_extension_tensor(tmp_path, capsys):
     # c151k3 and c199k3 at point 0: ranks 7601 and 13 201, whose tensors
     # alone take 17.5 and 40.1 MiB.  Building them peaked at about 25 MiB
     # for c151k3; holding every (rank, n) reference of the S3 pass at 8.2
-    # and 14.5 MiB; one fiber's at a time at 2.9 and 4.6 MiB
-    for p, bound_mib in ((151, 4), (199, 8)):
+    # and 14.5 MiB; one fiber's at a time at 2.3 and 3.9 MiB; narrow
+    # colors, chunked condition checks and no base tensor at 1.1 and 1.9 MiB
+    for p, bound_mib in ((151, 1.5), (199, 2.5)):
         path = tmp_path / f"c{p}k3.json"
         assert run(capsys, "construct", "cyclotomic", "--p", str(p), "--k-order", "3",
                    "-o", str(path))[0] == 0
@@ -299,18 +305,21 @@ def test_extend_peak_memory_stays_below_the_extension_tensor(tmp_path, capsys):
 
 def test_load_scheme_validates_the_parsed_matrix_in_place(tmp_path, capsys):
     # c499k6: a second int64 copy of the 499 x 499 matrix took the peak
-    # from 3.9 to 5.8 MiB
+    # from 3.9 to 5.8 MiB; the list parsed straight into uint8 takes it
+    # from 3.9 to 2.8 MiB
     path = tmp_path / "c499k6.json"
     assert run(capsys, "construct", "cyclotomic", "--p", "499", "--k-order", "6",
                "-o", str(path))[0] == 0
     (cfg, _), peak = oracles.traced_peak(cli.load_scheme, path)
     assert cfg.rank == 84 and not cfg.colors.flags.writeable
-    assert peak <= 5 * 2**20
+    assert cfg.colors.dtype == np.uint8
+    assert peak <= 3.5 * 2**20
 
 
 def test_check_design_never_builds_the_blocks(tmp_path, capsys, monkeypatch):
     # c499k6: the n x (n - 1) blocks and the argsort they were cut from
-    # took the peak from 4.1 to 6.1 MiB, and the command prints only counts
+    # took the peak from 4.1 to 6.1 MiB, and the command prints only counts;
+    # narrow colors from the file on take it from 3.9 to 2.9 MiB
     path = tmp_path / "c499k6.json"
     assert run(capsys, "construct", "cyclotomic", "--p", "499", "--k-order", "6",
                "-o", str(path))[0] == 0
@@ -320,7 +329,7 @@ def test_check_design_never_builds_the_blocks(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["valid"] and report["blocks"] == 41417
     assert built == []
-    assert peak <= 4.5 * 2**20
+    assert peak <= 3.5 * 2**20
 
 
 def test_extend_both_methods(c67_file, tmp_path, capsys):
@@ -390,6 +399,64 @@ def test_invalid_parameter_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "cyclotomic", "--p", "13",
                        "--k-order", "5", "-o", str(tmp_path / "x.json"))
     assert code == 2
+
+
+# a 2-point file: K_2 is n = 2, rank 2, colors [0, 1, 1, 0]
+K2_FILE = '{"colors":[%s],"metadata":{},"n":%s,"rank":%s}'
+
+
+@pytest.mark.parametrize("colors, n, rank", [
+    ("0,1.7,1,0", "2", "2"),            # a fraction was truncated to 1
+    ("0,true,true,0", "2", "2"),        # booleans were read as 1
+    ('0,"1","1",0', "2", "2"),          # so were strings
+    ("0,1,1,0", "2.9", "2"),            # n and rank were truncated
+    ("0,1,1,0", '"2"', "2"),
+    ("0,1,1,0", "2", "2.9"),
+    ("0,1,1,0", "2", '"2"'),
+    (f"0,{2**64 + 1},1,0", "2", "2"),   # an uncaught OverflowError
+    ("0,01,1,0", "2", "2"),             # JSON has no leading zeros,
+    ("0,+1,1,0", "2", "2"),             # no plus sign,
+    ("0,1,1,0,", "2", "2"),             # no trailing comma
+    ("0,-1,1,0", "2", "2"),
+    ("[0,1],[1,0]", "2", "2"),          # the list is flat
+    ("0,1 1,0", "2", "2"),
+    ("0,,1,1", "2", "2"),
+    ("0,1,1", "2", "2"),
+    ("0,1,1,0", "02", "2"),
+])
+def test_scheme_file_grammar_is_strict(tmp_path, capsys, colors, n, rank):
+    bad = tmp_path / "bad.json"
+    bad.write_text(K2_FILE % (colors, n, rank))
+    with pytest.raises(SchemeFileError):
+        cli.load_scheme(bad)
+    assert run(capsys, "analyze", str(bad))[:2] == (2, "")
+
+
+def test_scheme_file_ids_fail_before_anything_is_sized_by_them(tmp_path, capsys):
+    # id 10^9 on 2 points made np.bincount ask for 7.45 GiB
+    bad = tmp_path / "huge.json"
+    for ids, rank in (("0,1000000000,1000000000,0", 2),
+                      ("0,1000000000,1000000000,0", 1000000001),
+                      ("0,1,1,0", 10**18)):
+        bad.write_text(K2_FILE % (ids, 2, rank))
+
+        def attempt():
+            with pytest.raises(SchemeFileError):
+                cli.load_scheme(bad)
+
+        _, peak = oracles.traced_peak(attempt)
+        assert peak < 2**16
+        assert run(capsys, "analyze", str(bad))[:2] == (2, "")
+
+
+def test_scheme_file_whitespace_and_key_order_are_free(tmp_path, c67_file):
+    cfg, meta = cli.load_scheme(c67_file)
+    payload = json.loads(c67_file.read_text())
+    spaced = tmp_path / "spaced.json"
+    payload = dict(reversed(list(payload.items())))
+    spaced.write_text(json.dumps(payload, indent=1).replace("[", "[\n "))
+    again, meta2 = cli.load_scheme(spaced)
+    assert np.array_equal(again.colors, cfg.colors) and meta2 == meta
 
 
 def test_rank_mismatch_file_rejected(tmp_path, capsys, c67_file):

@@ -190,13 +190,73 @@ def test_explicit_extension_equals_closure_wherever_conditions_hold(corpus, c151
 
 def test_explicit_extension_validates_its_matrix_in_place():
     # c199k3 at point 0, rank 13 201: validating a copy of the 199 x 199
-    # int64 matrix took the peak from 3.87 to 4.17 MiB.  The source tensor
-    # is read first, since it stays cached on the source configuration
+    # int64 matrix took the peak from 3.87 to 4.17 MiB; the matrix built in
+    # uint16 and the conditions checked in chunks take it from 3.06 to
+    # 1.81 MiB.  The source tensor is read first, as it once stayed cached
     cfg = constructors.cyclotomic_scheme(constructors.FiniteField(199), 3)
     cfg.tensor
     ext, peak = oracles.traced_peak(extension.explicit_extension, cfg, 0)
     assert ext.rank == 13201 and not ext.colors.flags.writeable
-    assert peak <= 4.0 * 2**20
+    assert ext.colors.dtype == np.uint16
+    assert peak <= 2.5 * 2**20
+
+
+def test_closure_marks_keep_every_color_past_the_uint8_range(monkeypatch):
+    # c199k3 has rank 67 and two marked points make base 3: the marked
+    # colors run to 67 * 9 - 1 = 602, past uint8, and must stay distinct
+    cfg = constructors.cyclotomic_scheme(constructors.FiniteField(199), 3)
+    seen = []
+    closure = cc_core._weisfeiler_leman
+    monkeypatch.setattr(cc_core, "_weisfeiler_leman",
+                        lambda colors: seen.append(colors) or closure(colors))
+    extension.coherent_closure(cfg, {5, 0})
+    marks = np.zeros(cfg.n, dtype=np.int64)
+    marks[[0, 5]] = [1, 2]
+    expected = cfg.colors.astype(np.int64) * 9 + marks[:, None] * 3 + marks
+    assert np.array_equal(seen[0], expected)
+
+
+def test_condition_checks_run_in_bounded_chunks(monkeypatch):
+    # c199k3 has 66 non-diagonal colors: whole rows of the pair check built
+    # (m, m, m) float32 arrays, a 2.47 MiB peak; chunks of CONDITION_CELLS
+    # cells keep it near 0.56 MiB
+    cfg = constructors.cyclotomic_scheme(constructors.FiniteField(199), 3)
+    D, nond = extension._splitting_array(cfg)
+    assert len(nond) == 66
+    _, peak = oracles.traced_peak(extension._check_conditions, D, nond)
+    assert peak <= 1 * 2**20
+    # every chunk width names the first failing pair, else triple, of the
+    # naive loops (random arrays as in the witness test above, on 9 colors)
+    rng = np.random.default_rng(11)
+    nond = tuple(range(1, 10))
+    outcomes = set()
+    for trial in range(80):
+        if trial % 2:
+            D = rng.random((9, 9, 9)) < rng.uniform(0.6, 1.0)
+        else:
+            D = np.zeros((9, 9, 9), dtype=bool)
+            D[:, :, 5:] = rng.random((9, 9, 4)) < 0.4
+            D[:, :, 5] |= ~D.any(axis=2)
+            D[5:, :, 5:] = True
+        D |= D.transpose(1, 0, 2)
+        masks = {(u, v): sum(1 << w for w, hit in zip(nond, D[i, j]) if hit)
+                 for i, u in enumerate(nond) for j, v in enumerate(nond)}
+        pairs = [(u, v, None) for i, u in enumerate(nond) for v in nond[i:]
+                 if not oracles.pair_condition_naive(masks, u, v)]
+        triples = [t for t in combinations_with_replacement(nond, 3)
+                   if not oracles.triple_condition_naive(masks, *t)]
+        expected = (pairs + triples + [None])[0]
+        for cells in (1, 81, 4 * 81, extension.CONDITION_CELLS):
+            monkeypatch.setattr(extension, "CONDITION_CELLS", cells)
+            try:
+                extension._check_conditions(D, nond)
+                got = None
+            except ConditionsFail as exc:
+                got = (exc.u, exc.v, exc.w)
+            assert got == expected, (trial, cells)
+        outcomes.add("pass" if got is None else "pair" if got[2] is None
+                     else "triple")
+    assert outcomes == {"pass", "pair", "triple"}
 
 
 def test_explicit_extension_ag33(ag33):
