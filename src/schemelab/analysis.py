@@ -411,6 +411,9 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
     refines phi."""
     from . import extension  # here, so that no other check loads it
     src, dst = phi.source, phi.target
+    # first, so that the source's splitting sets are built once, here, and
+    # its extension and the composed blocks below read them
+    is_direct = extension.direct_blocks(src)
     ext1 = extension.explicit_extension(src, alpha)
     ext2 = extension.explicit_extension(dst, alpha_prime)
     row1, row2 = src.colors[alpha], dst.colors[alpha_prime]
@@ -427,7 +430,6 @@ def extend_algebraic_iso(phi, alpha, alpha_prime):
     direct = {}
     for cid, key in enumerate(zip(u2.tolist(), v2.tolist(), parent2.tolist())):
         direct.setdefault(key, cid)
-    is_direct = extension.direct_blocks(src)
     first_in = {}
 
     def first_point(x, fiber, color):

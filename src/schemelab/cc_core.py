@@ -2,7 +2,8 @@
 
 A configuration on n points is stored as an n x n integer matrix of relation
 ids ("colors"), read-only and in the narrowest type for its rank r
-(``_color_dtype``: uint8 up to r = 256, uint16 up to 65 536, else int32).
+(``_color_dtype``: uint8 up to r = 256, uint16 up to 65 536, else int32;
+int64 only for the codes of a marked closure input past 2^31).
 ``validate_config`` checks the three defining axioms (the diagonal is a
 union of colors, the color partition is transpose-closed, and all triple
 intersection counts are constant on each color), then returns an immutable
@@ -61,7 +62,8 @@ BLOCK_CELLS = 1 << 14           # cells per step of every other blocked n^2 pass
 
 def _color_dtype(r):
     """The narrowest integer type that holds every id 0..r-1."""
-    return np.dtype(np.uint8 if r <= 1 << 8 else np.uint16 if r <= 1 << 16 else np.int32)
+    return np.dtype(np.uint8 if r <= 1 << 8 else np.uint16 if r <= 1 << 16 else
+                    np.int32 if r <= 1 << 31 else np.int64)
 
 
 def first_cells(ids):
@@ -82,8 +84,15 @@ def first_cells(ids):
 
 def canonicalize_colors(colors):
     """Relabel color ids to first-occurrence order in a row-major scan; the
-    result is a new matrix in the color type of its rank."""
+    result is a new matrix in the color type of its rank.
+
+    Ids are non-negative.  Ids that reach the matrix's size (the codes of a
+    marked closure input can) are first ranked among the distinct ids, so
+    that ``first_cells`` is sized by the matrix, not by its largest id."""
     colors = np.asarray(colors)
+    if int(colors.max()) >= colors.size:
+        distinct = np.unique(colors)
+        colors = np.searchsorted(distinct, colors).astype(_color_dtype(distinct.size))
     first = first_cells(colors)
     r = first.size
     order = np.argsort(first, kind="stable")

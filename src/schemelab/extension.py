@@ -4,9 +4,10 @@ Weisfeiler-Leman, run by ``cc_core`` next to the S3 signature kernel), and
 semiregularity checks.
 
 The splitting sets of an equivalenced scheme are held as one boolean array
-D[i, j, l] over the non-diagonal colors, read off the support of the
-intersection tensor (``cc_core.tensor_support``, which builds no tensor) by
-matrix products; the pair and triple conditions are reductions over it,
+D[i, j, l] over the non-diagonal colors, read by matrix products off the
+support of the intersection tensor (``cc_core.tensor_support``, which
+builds no tensor), which is built once per explicit extension and gives
+the direct blocks too; the pair and triple conditions are reductions over it,
 one row i and a chunk of j at a time.  The explicit method gathers the
 blocks alpha·u x alpha·v as k x k arrays and partitions each either
 directly (by the colors of u*v when |u*v| equals the valency) or by
@@ -37,8 +38,12 @@ CONDITION_CELLS = 1 << 16     # (j, w, w') cells of the condition checks per ste
 
 
 def _splitting_array(cfg):
-    """All splitting sets of an equivalenced scheme, as (D, nond): D[i, j, l]
-    says whether nond[l] is in D(nond[i], nond[j]).
+    """All splitting sets of an equivalenced scheme of valency k, as
+    (D, nond, direct): D[i, j, l] says whether nond[l] is in
+    D(nond[i], nond[j]), and direct[u, v] whether the explicit extension
+    partitions the block alpha·u x alpha·v by the colors of u*v, which it
+    does when u or v is diagonal or |u*v| = k.  Both are read off one
+    support of the tensor.
 
     With P[a, b, t] = (c_ab^t > 0), the support of uu*·vv* is two
     contractions of P with the ww* rows, and w is in D(u, v) when that
@@ -48,11 +53,15 @@ def _splitting_array(cfg):
     with O(chunk * m^2) scratch.  Every product counts 0/1 entries over at
     most rank < 2^24 terms, so float32 arithmetic is exact.
     """
-    if cc_core.is_equivalenced(cfg) is None:
+    k = cc_core.is_equivalenced(cfg)
+    if k is None:
         raise NotEquivalenced("splitting sets require an equivalenced scheme")
     nond = cfg.nondiagonal_colors
     m = len(nond)
     P = cc_core.tensor_support(cfg)
+    direct = P.sum(axis=2)[cfg.star] == k
+    e = cfg.identity_color
+    direct[e] = direct[:, e] = True
     idx = np.array(nond, dtype=np.int64)
     ww = P[idx, cfg.star[idx]]                             # [w, t]
     wwf = ww.astype(np.float32)
@@ -62,12 +71,13 @@ def _splitting_array(cfg):
         support = (wwf @ uu_b > 0).astype(np.float32)       # [j, t]: uu*·vv*
         D[i] = support @ wwf.T == 1
     D.setflags(write=False)
-    return D, nond
+    direct.setflags(write=False)
+    return D, nond, direct
 
 
-# config -> (D, nond) for the per-pair public queries, which callers run in
+# config -> (D, nond, direct) for the public queries, which callers run in
 # loops over all pairs; an entry dies with its config.  ``explicit_extension``
-# builds its own array once per call and leaves nothing behind.
+# reads an entry that is there, else builds its own and leaves nothing behind.
 _SPLITTING = weakref.WeakKeyDictionary()
 
 
@@ -132,7 +142,7 @@ def _indices(cfg, *colors):
     _require_scheme(cfg)
     for s in colors:
         _check_nondiagonal(cfg, s)
-    D, nond = _cached_splitting_array(cfg)
+    D, nond, _ = _cached_splitting_array(cfg)
     return D, [nond.index(s) for s in colors]
 
 
@@ -228,14 +238,7 @@ def direct_blocks(cfg):
     explicit extension partitions the blocks alpha·u x alpha·v by the colors
     of u*v, which it does when u or v is diagonal or |u*v| = k; it composes
     every other block through w = min D(u, v)."""
-    k = cc_core.is_equivalenced(cfg)
-    if k is None:
-        raise NotEquivalenced("direct blocks require an equivalenced scheme")
-    size = cc_core.tensor_support(cfg).sum(axis=2)
-    direct = size[cfg.star] == k
-    e = cfg.identity_color
-    direct[e] = direct[:, e] = True
-    return direct
+    return _cached_splitting_array(cfg)[2]
 
 
 def explicit_extension(cfg, alpha):
@@ -255,9 +258,9 @@ def explicit_extension(cfg, alpha):
     k = cc_core.is_equivalenced(cfg)
     if k is None:
         raise NotEquivalenced("explicit extension requires an equivalenced scheme")
-    D, nond = _splitting_array(cfg)
+    D, nond, direct = _SPLITTING.get(cfg) or _splitting_array(cfg)
     _check_conditions(D, nond)
-    new = _extension_matrix(cfg, alpha, k, D, nond)
+    new = _extension_matrix(cfg, alpha, k, D, nond, direct)
     del D
     try:
         # the matrix is ours, so the configuration keeps it without a copy
@@ -273,12 +276,12 @@ def explicit_extension(cfg, alpha):
     return config
 
 
-def _extension_matrix(cfg, alpha, k, D, nond):
+def _extension_matrix(cfg, alpha, k, D, nond, direct):
     """The color matrix of the explicit extension, in the color type of its
     rank 1 + m + m(1 + mk).
 
     Every non-diagonal block alpha·u x alpha·v splits into k perfect
-    matchings: the colors of u*v in a direct block (``direct_blocks``),
+    matchings: the colors of u*v in a block that ``direct`` marks,
     else the composites through w = min D(u, v).  Each piece meets the
     first row of its block once, so numbering the pieces of a block by that
     column orders them by first cell, and every id follows from its block's
@@ -293,7 +296,7 @@ def _extension_matrix(cfg, alpha, k, D, nond):
 
     # pieces[i, j, q, a] = b: the cells (a, b) of the q-th piece of block (i, j)
     idx = np.array(nond, dtype=np.int64)
-    direct = direct_blocks(cfg)[np.ix_(idx, idx)]
+    direct = direct[np.ix_(idx, idx)]
     pieces = np.empty((m, m, k, k), dtype=np.int32)
     pieces[direct] = _matchings(_blocks(colors, F, F)[direct])
     I, J = np.nonzero(~direct)

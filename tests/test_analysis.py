@@ -443,6 +443,20 @@ def test_extend_algebraic_iso_identity(c67k2):
     assert ext.mapping == tuple(range(len(ext.mapping)))
 
 
+def test_extend_algebraic_iso_reads_the_source_support_once(c67k2, monkeypatch):
+    # the direct blocks, both extensions and the splitting sets of the
+    # composed blocks share one support of the base tensor; only the
+    # validation of the result reads the extensions' tensors
+    src = cc_core.validate_config(c67k2.colors)     # nothing cached on it
+    read = []
+    signatures = cc_core._reference_signatures
+    monkeypatch.setattr(cc_core, "_reference_signatures",
+                        lambda cfg: read.append(cfg.rank) or signatures(cfg))
+    ext = analysis.extend_algebraic_iso(ColorBijection.identity(src), 0, 0)
+    assert ext.mapping == tuple(range(2245))
+    assert read == [34, 2245, 2245]
+
+
 def test_extend_algebraic_iso_nontrivial(c67k2, ag33):
     F = constructors.FiniteField(67)
     pmap = tuple(F.mul(F.generator, x) for x in range(67))

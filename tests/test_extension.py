@@ -216,12 +216,40 @@ def test_closure_marks_keep_every_color_past_the_uint8_range(monkeypatch):
     assert np.array_equal(seen[0], expected)
 
 
+def test_closure_marks_past_the_int32_range_keep_every_color(monkeypatch):
+    # the discrete configuration on 216 points, every point marked: base
+    # 217, so the marked colors run to 46656 * 217^2 - 1 > 2^31, which
+    # int32 wraps to negative ids; and the first-cell table of the closure
+    # input must be sized by the matrix (46 656 cells), not by its largest
+    # id (16 GiB of int64), which the spy checks before anything is sized
+    n = 216
+    cfg = cc_core.validate_config(np.arange(n * n).reshape(n, n))
+    seen, sized = [], []
+    closure, first_cells = cc_core._weisfeiler_leman, cc_core.first_cells
+
+    def bounded_first_cells(ids):
+        if ids.ndim == 2:
+            assert 0 <= int(ids.min()) and int(ids.max()) < ids.size
+            sized.append(ids.size)
+        return first_cells(ids)
+
+    monkeypatch.setattr(cc_core, "_weisfeiler_leman",
+                        lambda colors: seen.append(colors) or closure(colors))
+    monkeypatch.setattr(cc_core, "first_cells", bounded_first_cells)
+    ext = extension.coherent_closure(cfg, range(n))
+    marks = np.arange(1, n + 1, dtype=np.int64)
+    expected = cfg.colors.astype(np.int64) * 217**2 + marks[:, None] * 217 + marks
+    assert int(expected.max()) >= 2**31
+    assert np.array_equal(seen[0], expected) and sized
+    assert ext.colors.dtype == np.uint16 and np.array_equal(ext.colors, cfg.colors)
+
+
 def test_condition_checks_run_in_bounded_chunks(monkeypatch):
     # c199k3 has 66 non-diagonal colors: whole rows of the pair check built
     # (m, m, m) float32 arrays, a 2.47 MiB peak; chunks of CONDITION_CELLS
     # cells keep it near 0.56 MiB
     cfg = constructors.cyclotomic_scheme(constructors.FiniteField(199), 3)
-    D, nond = extension._splitting_array(cfg)
+    D, nond, _ = extension._splitting_array(cfg)
     assert len(nond) == 66
     _, peak = oracles.traced_peak(extension._check_conditions, D, nond)
     assert peak <= 1 * 2**20
@@ -500,7 +528,7 @@ def test_splitting_kernels_match_naive_oracles(corpus, c151k3):
     named["cyclotomic-151-k3"] = c151k3
     for name, cfg in named.items():
         masks = oracles.splitting_sets_naive(cfg)
-        D, nond = extension._splitting_array(cfg)
+        D, nond, _ = extension._splitting_array(cfg)
         every = np.arange(len(nond))
         expected = [[[bool(masks[u, v] >> w & 1) for w in nond] for v in nond]
                      for u in nond]
