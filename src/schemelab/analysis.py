@@ -215,24 +215,10 @@ def algebraic_fusion(cfg, group):
     for m in maps:
         if not ColorBijection(cfg, cfg, m).is_valid():
             raise NotAnAlgebraicAutomorphism(f"{m} does not preserve the tensor")
-    parent = list(range(cfg.rank))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in maps:
-        for s, t in enumerate(m):
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[max(rs, rt)] = min(rs, rt)
-    orbits = {}
-    for s in range(cfg.rank):
-        orbits.setdefault(find(s), []).append(s)
-    partition = [tuple(v) for _, v in sorted(orbits.items())]
-    return fuse(cfg, partition)
+    labels = permgroup._orbit_labels(np.arange(cfg.rank), maps)
+    by_orbit = np.argsort(labels, kind="stable")
+    ends = np.flatnonzero(np.diff(labels[by_orbit])) + 1
+    return fuse(cfg, [orbit.tolist() for orbit in np.split(by_orbit, ends)])
 
 
 def t_condition(cfg, t):

@@ -28,12 +28,8 @@ import numpy as np
 
 from . import cc_core
 from .errors import (
-    AxiomViolation,
     ConditionsFail,
     DecompositionUnstable,
-    NotAGroup,
-    NotAnAffinePlane,
-    OrderDoesNotDivide,
     RankTooLarge,
     SchemeFileError,
     SchemeLabError,
@@ -480,11 +476,7 @@ def main(argv=None):
     except _CAP_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (AxiomViolation, SchemeFileError, NotAnAffinePlane, NotAGroup,
-            OrderDoesNotDivide, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except SchemeLabError as exc:
+    except (SchemeLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

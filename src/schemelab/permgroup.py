@@ -10,6 +10,13 @@ membership, basic orbits and point stabilizers are read off the stabilizer
 chain, so no group is ever listed element by element (Seress, *Permutation
 Group Algorithms*, 2003).
 
+Every orbit is computed by one kernel, ``_orbit_labels``: points, pairs
+(``orbital_scheme``), the orbit and failed sets of ``search_group``, and
+the color orbits of ``analysis.algebraic_fusion``.  It labels each cell
+with the least flat index of its orbit by array union-find.  A label is
+always a cell of the same orbit and never grows, so labels can be seeded
+with an earlier result and joined to one new generator at a time.
+
 The searches follow McKay and Piperno, "Practical graph isomorphism, II"
 (2014), on any finite domain 0..n-1: points here, colors in ``analysis``.
 A node of the search tree is a partition of the domain, refined after each
@@ -65,18 +72,41 @@ def parse_permutation(text):
     return p
 
 
-def _orbit(alpha, gens):
-    """The set of points that products of ``gens`` send alpha to."""
-    seen = {alpha}
-    stack = [alpha]
-    while stack:
-        x = stack.pop()
+def _orbit_labels(labels, gens):
+    """The least flat index of the orbit of every cell of ``labels``, a
+    label array of shape (n,) for points or (n, n) for pairs, under the
+    group generated by ``gens``, each acting on every axis.
+
+    An array union-find: the larger label of every edge (x, g(x)) is hooked
+    under the smaller with ``np.minimum.at``, every label jumps to its root,
+    and this repeats until no edge joins two labels.  Edges are taken a
+    block of cells at a time, so the scratch does not grow with the number
+    of generators.  A label is always a cell of the same orbit and never
+    grows, so the labels may be seeded with ``np.arange`` (orbits) or with
+    an earlier result, to which the new generators are joined.
+    """
+    shape, block = labels.shape, cc_core.BLOCK_CELLS
+    labels = labels.ravel().copy()
+    gens = [np.asarray(g, dtype=np.intp) for g in gens]
+    while True:
+        joined = False
         for g in gens:
-            y = int(g[x])
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+            for lo in range(0, labels.size, block):
+                cells = np.unravel_index(np.arange(lo, min(lo + block, labels.size)), shape)
+                a = labels[lo:lo + block]
+                b = labels[np.ravel_multi_index(tuple(g[c] for c in cells), shape)]
+                cut = a != b
+                if cut.any():
+                    a, b = a[cut], b[cut]
+                    np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+                    joined = True
+        if not joined:
+            return labels.reshape(shape)
+        while True:
+            root = labels[labels]
+            if np.array_equal(root, labels):
+                break
+            labels = root
 
 
 class _Level:
@@ -198,18 +228,15 @@ class PermutationGroup:
         return j == len(self._levels) and np.array_equal(h, np.arange(self.n))
 
     def orbit(self, alpha):
-        return sorted(_orbit(alpha, self.generators))
+        labels = _orbit_labels(np.arange(self.n), self.generators)
+        return np.flatnonzero(labels == labels[alpha]).tolist()
 
     def orbits(self):
-        out = []
-        assigned = [False] * self.n
-        for alpha in range(self.n):
-            if not assigned[alpha]:
-                orb = self.orbit(alpha)
-                for x in orb:
-                    assigned[x] = True
-                out.append(tuple(orb))
-        return out
+        """The orbits as sorted tuples, in the order of their least points."""
+        labels = _orbit_labels(np.arange(self.n), self.generators)
+        points = np.argsort(labels, kind="stable")
+        ends = np.flatnonzero(np.diff(labels[points])) + 1
+        return [tuple(orb.tolist()) for orb in np.split(points, ends)]
 
     def is_transitive(self):
         return len(self.orbit(0)) == self.n
@@ -263,24 +290,8 @@ def orbital_scheme(G):
     first occurrence.  Validation failure here would be a bug, not data.
     """
     n = G.n
-    colors = np.full((n, n), -1, dtype=np.int64)
-    gens = list(G.generators)
-    c = 0
-    for alpha in range(n):
-        for beta in range(n):
-            if colors[alpha, beta] >= 0:
-                continue
-            colors[alpha, beta] = c
-            stack = [(alpha, beta)]
-            while stack:
-                x, y = stack.pop()
-                for g in gens:
-                    gx, gy = g[x], g[y]
-                    if colors[gx, gy] < 0:
-                        colors[gx, gy] = c
-                        stack.append((gx, gy))
-            c += 1
-    return cc_core.validate_config(colors)
+    pairs = _orbit_labels(np.arange(n * n).reshape(n, n), G.generators)
+    return cc_core.validate_config(cc_core.canonicalize_colors(pairs))
 
 
 def is_frobenius(G):
@@ -415,24 +426,24 @@ def search_group(refine, root, accept):
     refine = _budget()(refine)
     path, base = _first_path(refine, root)
     gens = []
+    labels = np.arange(root.size)
     order = 1
     for i in reversed(range(len(base))):
         cells = path[i][0]
-        orbit = _orbit(base[i], gens)
-        failed = set()
+        failed = np.zeros(root.size, dtype=bool)
         for w in np.flatnonzero(cells == cells[base[i]]).tolist():
-            if w in orbit or w in failed:
+            if labels[w] == labels[base[i]] or failed[w]:
                 continue
             for leaf, points in _leaves(refine, path, base, cells, i,
                                         choices=[w]):
                 f = _leaf_map(path[-1][0], leaf)
                 if f[base].tolist() == base[:i] + points and accept(f):
                     gens.append(f)
-                    orbit = _orbit(base[i], gens)
+                    labels = _orbit_labels(labels, [f])
                     break
             else:
-                failed |= _orbit(w, gens)
-        order *= len(orbit)
+                failed |= labels == labels[w]
+        order *= int(np.count_nonzero(labels == labels[base[i]]))
     G = PermutationGroup(root.size, gens, base=base)
     if G.order != order:
         raise ValidationFailed(

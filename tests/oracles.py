@@ -163,6 +163,20 @@ def group_elements_naive(generators, n):
     return elements
 
 
+def orbital_colors_naive(elements, n):
+    """The 2-orbit id of every pair under the group listed by ``elements``
+    (degree n), ids numbered in row-major order of first occurrence."""
+    colors = [[-1] * n for _ in range(n)]
+    c = 0
+    for a in range(n):
+        for b in range(n):
+            if colors[a][b] < 0:
+                for g in elements:
+                    colors[g[a]][g[b]] = c
+                c += 1
+    return colors
+
+
 def design_blocks_argsort(cfg):
     """``Design.blocks`` of a scheme: a stable argsort of each row of the
     colors, with the column of the diagonal cell dropped."""

@@ -220,6 +220,20 @@ def test_algebraic_fusion_trivial_and_full(ag23):
     assert cc_core.same_partition(analysis.algebraic_fusion(ag23, G.generators), full)
 
 
+def test_algebraic_fusion_classes_are_color_orbits(c13k3, ag23):
+    # the fused classes are the orbits read off the element list of <maps>
+    for cfg in (c13k3, ag23):
+        gens = list(analysis.algebraic_automorphism_group(cfg).generators)
+        for maps in ([], gens[:1], [permgroup.compose(gens[0], gens[0])], gens):
+            fused = analysis.algebraic_fusion(cfg, maps)
+            classes = {}
+            for s, t in zip(cfg.colors.ravel().tolist(), fused.colors.ravel().tolist()):
+                classes.setdefault(t, set()).add(s)
+            elements = oracles.group_elements_naive(maps, cfg.rank)
+            assert {tuple(sorted(c)) for c in classes.values()} == \
+                {tuple(sorted({g[s] for g in elements})) for s in range(cfg.rank)}, maps
+
+
 def test_algebraic_fusion_rejects_non_automorphisms(z3):
     with pytest.raises(NotAnAlgebraicAutomorphism):
         analysis.algebraic_fusion(z3, [(0, 1, 1)])
@@ -629,3 +643,45 @@ def test_fuse_fuzz_agrees_with_axioms_oracle(corpus):
                 assert oracles.coherent_axioms_brute(merged) == "S3"
             else:
                 assert oracles.coherent_axioms_brute(fused.colors) is None
+
+
+def _relabeled(cfg, perm):
+    """cfg with each point x renamed perm[x], and the map from the color ids
+    of cfg to those of the relabeled configuration."""
+    inv = np.argsort(perm)
+    image = cc_core.validate_config(cfg.colors[np.ix_(inv, inv)])
+    colormap = np.empty(cfg.rank, dtype=np.int64)
+    colormap[cfg.colors] = image.colors[np.ix_(perm, perm)]
+    return image, colormap
+
+
+def _label_free_answers(cfg, alpha):
+    A = permgroup.automorphism_group(cfg)
+    return (cfg.rank, sorted(cfg.valencies.tolist()),
+            A.order, sorted(len(orbit) for orbit in A.orbits()),
+            analysis.is_schurian(cfg),
+            analysis.algebraic_automorphism_group(cfg).order,
+            analysis.is_separable_desk(cfg),
+            extension.coherent_closure(cfg, {alpha}).rank,
+            analysis.design_from_scheme(cfg).valid)
+
+
+def test_answers_do_not_depend_on_point_labels(corpus, c151k3):
+    # orbit labels are least indices, and the searches take the first cell
+    # at each depth: no answer may depend on which labels the points carry
+    ag27 = constructors.affine_scheme(2, 7)
+    schemes = dict(corpus, c151k3=c151k3, ag27_fusion=analysis.fuse(
+        ag27, [(0,), (1, 2, 3, 4), (5, 6, 7, 8)]))
+    rng = np.random.default_rng(2024)
+    for name, cfg in schemes.items():
+        expected = _label_free_answers(cfg, 0)
+        t4 = None
+        if cfg.n <= analysis.T_CONDITION_POINT_CAP:
+            t4 = analysis.t_condition(cfg, 4)
+        for _ in range(2):
+            perm = rng.permutation(cfg.n)
+            image, colormap = _relabeled(cfg, perm)
+            assert _label_free_answers(image, int(perm[0])) == expected, name
+            if t4 is not None:
+                assert analysis.t_condition(image, 4) == \
+                    {int(colormap[s]): ok for s, ok in t4.items()}, name

@@ -1,6 +1,7 @@
 """CLI construction, analysis, extension, checks, exit codes, golden files."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -91,6 +92,32 @@ def test_generator_file(tmp_path, capsys):
         assert (code, stdout) == (2, ""), text
         assert message in err, text
     assert not out.exists()
+
+
+def _make_group_generators():
+    path = Path(__file__).parent / "data" / "make_group_generators.py"
+    spec = importlib.util.spec_from_file_location("make_group_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_group_orbitals_at_the_point_cap(tmp_path, capsys):
+    # 499 is the largest prime inside the 500-point cap
+    make = _make_group_generators()
+    start = time.perf_counter()
+    for family, order, rank in (("agl1", 499 * 498, 2), ("cyclic", 499, 499)):
+        gens = tmp_path / f"{family}.txt"
+        gens.write_text(make.generator_text(family, 499))
+        out = tmp_path / f"{family}.json"
+        code, _, err = run(capsys, "construct", "group-orbitals",
+                           "--generators", str(gens), "-o", str(out))
+        assert (code, err) == (0, ""), family
+        cfg, _ = cli.load_scheme(out)
+        assert (cfg.n, cfg.rank) == (499, rank), family
+        G = permgroup.group_closure(cli._load_generators(gens))
+        assert G.order == order and G.orbits() == [tuple(range(499))], family
+    assert time.perf_counter() - start < 30.0
 
 
 def test_construct_affine_plane(tmp_path, capsys):

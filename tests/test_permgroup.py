@@ -1,5 +1,6 @@
 """Group closure, orbital schemes, Frobenius test, automorphism search."""
 
+import math
 import time
 
 import numpy as np
@@ -263,6 +264,38 @@ def test_bsgs_matches_enumeration(corpus):
         elements = _assert_matches_enumeration(A, name)
         if cfg.n <= 8:
             assert set(elements) == set(oracles.automorphisms_brute(cfg.colors)), name
+
+
+def test_orbit_ids_match_the_element_list(monkeypatch):
+    # the fuzz groups and the groups passman5 and frob23 take the orbitals
+    # of: pair ids and point orbits equal those read off the element list,
+    # and joining the generators one at a time gives the labels of joining
+    # them at once
+    orbital_scheme, taken = permgroup.orbital_scheme, []
+    monkeypatch.setattr(permgroup, "orbital_scheme",
+                        lambda G: taken.append(G) or orbital_scheme(G))
+    constructors.passman_scheme(5)
+    monkeypatch.undo()
+    groups = _fuzz_groups() + taken + [constructors.frobenius_example_group(2, 3)]
+    assert [G.n for G in groups[-2:]] == [25, 64]
+    for i, G in enumerate(groups):
+        elements = oracles.group_elements_naive(G.generators, G.n)
+        assert np.array_equal(permgroup.orbital_scheme(G).colors,
+                              oracles.orbital_colors_naive(elements, G.n)), i
+        assert G.orbits() == sorted(
+            {tuple(sorted({g[x] for g in elements})) for x in range(G.n)}), i
+        for shape in ((G.n,), (G.n, G.n)):
+            seed = np.arange(G.n ** len(shape)).reshape(shape)
+            joined = seed
+            for g in G.generators:
+                joined = permgroup._orbit_labels(joined, [g])
+            assert np.array_equal(joined, permgroup._orbit_labels(seed, G.generators)), i
+
+
+def test_search_order_past_the_int64_range():
+    # 25! > 2^63: the product of the basic orbit sizes is a Python int
+    k25 = cc_core.validate_config(np.ones((25, 25), dtype=int) - np.eye(25, dtype=int))
+    assert permgroup.automorphism_group(k25).order == math.factorial(25)
 
 
 def test_stabilizer_is_a_group():
