@@ -30,7 +30,10 @@ Conventions:
   composition codes color(a,b)*r + color(b,g) of one row of pairs
   (``_row_signatures``), checked class by class against the signature of
   each class's first pair (``_verify_classes``), one fiber at a time, so
-  only the references of the current fiber's classes are alive.  S1-S3
+  only the references of the current fiber's classes are alive.  The pass
+  reports every failing pair: ``validate_config`` names the first, and a
+  closure round that a fingerprint collision left unsplit is split by
+  them (``_weisfeiler_leman``).  S1-S3
   are checked when the configuration is made, and it keeps no reference
   signatures.  The tensor is built on first read: the references are
   rebuilt from one row signature per fiber (``_reference_signatures``) and
@@ -279,9 +282,10 @@ def _verify_classes(colors, r):
     in the rows of another fiber fails there, as it would against its
     reference: under S1 the signature of (alpha, gamma) holds the code
     color(alpha, alpha)*r + color(alpha, gamma), and no pair of another
-    fiber's rows has it.  Returns (first_cell, bad): the flat index of every
-    reference pair, and the first pair (alpha, gamma) in row-major order
-    whose signature differs from its reference, or None.
+    fiber's rows has it.  Every row is walked.  Returns (first_cell, bad):
+    the flat index of every reference pair, and None when every pair
+    matches its reference, else (rows, masks): the ascending rows that hold
+    a failing pair, and for each the boolean mask of its failing pairs.
     """
     n = colors.shape[0]
     colors_t = _code_matrix(colors, r)
@@ -290,23 +294,23 @@ def _verify_classes(colors, r):
     row_start = np.searchsorted(first_cell[by_first], np.arange(n + 1) * n)
     diag = colors.diagonal()
     first_diag = diag[first_cell // n]
-    bad = None
+    bad = {}
     for d in np.flatnonzero(np.bincount(diag)):
         mine = first_diag == d
         slot = np.cumsum(mine) - 1      # the row of ``ref`` of each color of the fiber
         ref = np.empty((int(slot[-1]) + 1, n), dtype=colors_t.dtype)
         for alpha in np.flatnonzero(diag == d):
-            if bad is not None and alpha > bad[0]:
-                break
             row = colors[alpha]
             sig = _row_signatures(colors_t, row, r)
             opened = by_first[row_start[alpha]:row_start[alpha + 1]]
             ref[slot[opened]] = sig[first_cell[opened] % n]
             ok = (sig == ref[slot[row]]).all(axis=1) & mine[row]
             if not ok.all():
-                bad = (int(alpha), int(np.flatnonzero(~ok)[0]))
-                break
-    return first_cell, bad
+                bad[int(alpha)] = ~ok
+    if not bad:
+        return first_cell, None
+    rows = sorted(bad)
+    return first_cell, (np.array(rows), np.array([bad[a] for a in rows]))
 
 
 def _reference_signatures(cfg):
@@ -380,20 +384,6 @@ def _fingerprint_classes(colors, r):
     return canonicalize_colors(groups.reshape(n, n))
 
 
-def _exact_regroup(colors, r):
-    """Collision-proof refinement step keyed on raw sorted-code bytes."""
-    n = colors.shape[0]
-    colors_t = _code_matrix(colors, r)
-    mapping = {}
-    new = np.empty((n, n), dtype=np.int32)
-    for alpha in range(n):
-        sig = _row_signatures(colors_t, colors[alpha], r)
-        for gamma in range(n):
-            key = (int(colors[alpha, gamma]), sig[gamma].tobytes())
-            new[alpha, gamma] = mapping.setdefault(key, len(mapping))
-    return new.astype(_color_dtype(len(mapping)))
-
-
 def _weisfeiler_leman(colors):
     """The coarsest coherent configuration refining a color matrix, by 2-dim
     Weisfeiler-Leman refinement.
@@ -402,19 +392,22 @@ def _weisfeiler_leman(colors):
     multiset.  Multisets are grouped by fingerprint, so a round may merge
     two multisets (a collision) but never splits one.  Only the round whose
     fingerprint leaves the coloring unchanged is verified exactly, every
-    class against its reference signature; a collision there sends that
-    round to exact raw-byte grouping, and refinement goes on.
+    class against its reference signature; a collision there splits every
+    failing pair off its color, and refinement goes on.
 
     Why one verify suffices.  Refinement is monotone: if a coloring c is
     coarser than or equal to d, the refinement of c is coarser than or
     equal to that of d (Weisfeiler and Leman, 1968).  Let W be the closure
     of the input, which is its own refinement.  Fingerprint classes are
     unions of exact classes, so by induction every coloring met, verified
-    or not, is coarser than or equal to W.  The final coloring refines the
-    input and passed the exact S3 check, so it is coherent and, W being
-    the coarsest such, at least as fine as W.  It is therefore W, and as
-    both carry first-occurrence ids, with the same ids.  Its S3 check is
-    done, so ``_checked_config`` skips it.
+    or not, is coarser than or equal to W.  So is a split coloring: the
+    pairs of a color that match its reference form one class of the exact
+    round, and those that fail a union of such classes.  Neither part is
+    empty, so each split raises the rank, and refinement ends.  The final
+    coloring refines the input and passed the exact S3 check, so it is
+    coherent and, W being the coarsest such, at least as fine as W.  It is
+    therefore W, and as both carry first-occurrence ids, with the same ids.
+    Its S3 check is done, so ``_checked_config`` skips it.
 
     ``colors`` must refine a coloring that satisfies S1, as every round's
     coloring then does too; ``_verify_classes`` relies on it.
@@ -425,9 +418,13 @@ def _weisfeiler_leman(colors):
         new = _fingerprint_classes(colors, r)
         if int(new.max()) + 1 == r:
             del new     # the fingerprint stopped refining, so new == colors
-            if _verify_classes(colors, r)[1] is None:
+            bad = _verify_classes(colors, r)[1]
+            if bad is None:
                 return _checked_config(colors, r, verified=True)
-            new = _exact_regroup(colors, r)
+            rows, masks = bad
+            new = colors.astype(_color_dtype(2 * r)) * 2
+            new[rows] += masks
+            new = canonicalize_colors(new)
         colors, r = new, int(new.max()) + 1
 
 
@@ -541,7 +538,7 @@ def _checked_config(colors, r, verified=False):
     if not verified:
         first_cell, bad = _verify_classes(colors, r)
         if bad is not None:
-            alpha, gamma = bad
+            alpha, gamma = int(bad[0][0]), int(np.flatnonzero(bad[1][0])[0])
             t = int(colors[alpha, gamma])
             t_row, t_col = divmod(int(first_cell[t]), n)
             colors_t = _code_matrix(colors, r)

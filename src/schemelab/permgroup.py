@@ -5,10 +5,11 @@ users: color-preserving automorphisms and isomorphisms.
 
 Permutations are plain tuples in image notation: ``p[i]`` is the image of
 point ``i``.  A ``PermutationGroup`` keeps its generators and a base with a
-strong generating set (BSGS), built by deterministic Schreier-Sims; order,
-membership, basic orbits and point stabilizers are read off the stabilizer
-chain, so no group is ever listed element by element (Seress, *Permutation
-Group Algorithms*, 2003).
+strong generating set (BSGS), built by deterministic Schreier-Sims on first
+read; order, membership, basic orbits and point stabilizers are read off
+the stabilizer chain, so no group is ever listed element by element
+(Seress, *Permutation Group Algorithms*, 2003).  Orbits and orbital
+schemes read only the generators, so they never build the chain.
 
 Every orbit is computed by one kernel, ``_orbit_labels``: points, pairs
 (``orbital_scheme``), the orbit and failed sets of ``search_group``, and
@@ -32,6 +33,7 @@ compares the full color matrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -205,27 +207,42 @@ def _schreier_sims(n, generators, base):
 
 class PermutationGroup:
     """A permutation group of degree n given by generators, held as a base
-    and strong generating set.  The base begins with the points ``base``."""
+    and strong generating set.  The base begins with the points ``base``.
+
+    The stabilizer chain (base, strong generators and levels) is built by
+    Schreier-Sims on first read, so a group read only through its
+    generators and orbits (``orbital_scheme``) never builds it."""
 
     def __init__(self, n, generators, base=()):
         self.n = n
         self.generators = tuple(tuple(int(x) for x in g) for g in generators)
+        self._first_points = [int(b) for b in base]
+
+    @functools.cached_property
+    def _chain(self):
         arrays = [np.asarray(g, dtype=np.intp) for g in self.generators]
-        chain_base, strong, self._levels = _schreier_sims(
-            n, arrays, [int(b) for b in base])
-        self.base = tuple(chain_base)
-        self.strong_generators = tuple(tuple(s.tolist()) for s in strong)
+        base, strong, levels = _schreier_sims(self.n, arrays, self._first_points)
+        return tuple(base), tuple(tuple(s.tolist()) for s in strong), levels
+
+    @property
+    def base(self):
+        return self._chain[0]
+
+    @property
+    def strong_generators(self):
+        return self._chain[1]
 
     @property
     def order(self):
-        return math.prod(len(level.orbit) for level in self._levels)
+        return math.prod(len(level.orbit) for level in self._chain[2])
 
     def __contains__(self, p):
         h = np.asarray(p, dtype=np.intp)
         if h.shape != (self.n,):
             return False
-        h, j = _sift(self._levels, h, 0)
-        return j == len(self._levels) and np.array_equal(h, np.arange(self.n))
+        levels = self._chain[2]
+        h, j = _sift(levels, h, 0)
+        return j == len(levels) and np.array_equal(h, np.arange(self.n))
 
     def orbit(self, alpha):
         labels = _orbit_labels(np.arange(self.n), self.generators)
@@ -247,17 +264,16 @@ class PermutationGroup:
     def stabilizer(self, alpha):
         """The point stabilizer G_alpha, read off the stabilizer chain: with
         alpha first in the base, the later base points and levels are a BSGS
-        of G_alpha, whose strong generators are those fixing alpha.  Any
-        other alpha costs one Schreier-Sims run to re-base."""
+        of G_alpha, whose strong generators are those fixing alpha, and they
+        seed the chain of the result.  Any other alpha costs one
+        Schreier-Sims run to re-base."""
         G = self
         if self.base[:1] != (alpha,):
             G = PermutationGroup(self.n, self.strong_generators, base=(alpha,))
-        H = object.__new__(PermutationGroup)
-        H.n = self.n
-        H.generators = H.strong_generators = tuple(
-            s for s in G.strong_generators if s[alpha] == alpha)
-        H.base = G.base[1:]
-        H._levels = G._levels[1:]
+        base, strong, levels = G._chain
+        strong = tuple(s for s in strong if s[alpha] == alpha)
+        H = PermutationGroup(self.n, strong)
+        H._chain = base[1:], strong, levels[1:]
         return H
 
     def __repr__(self):

@@ -1,7 +1,7 @@
 """Write generator files for ``schemelab construct group-orbitals``.
 
 A generator file holds one permutation of 0..N-1 per line, in image
-notation.  Two families:
+notation.  Three families:
 
 - ``agl1 P``: the affine group AGL(1, P) of a prime P, generated by the
   translation x -> x + 1 and the scaling x -> g x by the least primitive
@@ -9,9 +9,16 @@ notation.  Two families:
   rank 2.
 - ``cyclic N``: the cyclic group Z_N, generated by x -> x + 1.  It is
   regular, so its orbital scheme has rank N.
+- ``wreath B M``: the wreath product Sym(B) wr Sym(M), B, M >= 2, on the
+  B*M points x, in blocks x // B of B points, generated by a transposition
+  and a B-cycle inside block 0 and by a transposition and an M-cycle of
+  whole blocks, with repeats dropped.  Its orbital scheme has rank 3
+  ("equal", "same block", "other block"), valencies 1, B - 1 and
+  B (M - 1), and its base has (B - 1) M points or more.
 
 Usage: python make_group_generators.py agl1 499 > agl1_499.txt
        python make_group_generators.py cyclic 499 > cyclic_499.txt
+       python make_group_generators.py wreath 2 100 > wreath_2_100.txt
 """
 
 import sys
@@ -45,13 +52,33 @@ def cyclic(n):
     return [[(x + 1) % n for x in range(n)]]
 
 
-FAMILIES = {"agl1": agl1, "cyclic": cyclic}
+def wreath(b, m):
+    def swap(k):
+        return [1, 0] + list(range(2, k))
+
+    def shift(k):
+        return [(i + 1) % k for i in range(k)]
+
+    def inside(p):      # p on the points of block 0
+        return p + list(range(b, b * m))
+
+    def blocks(p):      # p on the blocks
+        return [p[x // b] * b + x % b for x in range(b * m)]
+
+    gens = []
+    for g in (inside(swap(b)), inside(shift(b)), blocks(swap(m)), blocks(shift(m))):
+        if g not in gens:
+            gens.append(g)
+    return gens
 
 
-def generator_text(family, size):
-    """The generator file of ``family`` at ``size``, one line per generator."""
-    return "".join(" ".join(map(str, g)) + "\n" for g in FAMILIES[family](size))
+FAMILIES = {"agl1": agl1, "cyclic": cyclic, "wreath": wreath}
+
+
+def generator_text(family, *sizes):
+    """The generator file of ``family`` at ``sizes``, one line per generator."""
+    return "".join(" ".join(map(str, g)) + "\n" for g in FAMILIES[family](*sizes))
 
 
 if __name__ == "__main__":
-    sys.stdout.write(generator_text(sys.argv[1], int(sys.argv[2])))
+    sys.stdout.write(generator_text(sys.argv[1], *map(int, sys.argv[2:])))

@@ -449,9 +449,8 @@ def verify_classes_all_references(colors, r, classes):
     of ref holds the sorted composition codes colors(a,b)*r + colors(b,g)
     of the row-major first pair (a, g) of class c.  Returns (ref,
     first_cell, bad): the (m, n) int64 references, the flat index of every
-    reference pair, and the first pair in row-major order whose codes
-    differ from its class's reference, or None; when bad is set, only the
-    classes met before it have references."""
+    reference pair, and the (n, n) boolean mask of every pair whose codes
+    differ from its class's reference, or None when there is none."""
     colors = np.asarray(colors, dtype=np.int64)
     classes = np.asarray(classes, dtype=np.int64)
     n = colors.shape[0]
@@ -459,14 +458,13 @@ def verify_classes_all_references(colors, r, classes):
     first_cell = np.full(int(flat.max()) + 1, flat.size, dtype=np.int64)
     np.minimum.at(first_cell, flat, np.arange(flat.size))
     ref = np.zeros((first_cell.size, n), dtype=np.int64)
+    bad = np.zeros((n, n), dtype=bool)
     for alpha in range(n):
         sig = np.sort(colors[alpha][None, :] * r + colors.T, axis=1)
         opened = np.flatnonzero(first_cell // n == alpha)
         ref[opened] = sig[first_cell[opened] % n]
-        ok = (sig == ref[classes[alpha]]).all(axis=1)
-        if not ok.all():
-            return ref, first_cell, (alpha, int(np.flatnonzero(~ok)[0]))
-    return ref, first_cell, None
+        bad[alpha] = (sig != ref[classes[alpha]]).any(axis=1)
+    return ref, first_cell, bad if bad.any() else None
 
 
 def tensor_from_signatures_argsort(ref, r):

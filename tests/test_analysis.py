@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import oracles
-from schemelab import analysis, cc_core, cli, constructors, extension, permgroup
+from schemelab import (analysis, cc_core, cli, constructors, extension, permgroup,
+                       spectral)
 from schemelab.analysis import ColorBijection
 from schemelab.errors import (
+    ConditionsFail,
     NotAnAlgebraicAutomorphism,
     NotCoherent,
+    NotEquivalenced,
     RankTooLarge,
     ValencyTooSmall,
 )
@@ -657,12 +660,22 @@ def _relabeled(cfg, perm):
 
 def _label_free_answers(cfg, alpha):
     A = permgroup.automorphism_group(cfg)
+    closure = extension.coherent_closure(cfg, {alpha})
+    try:
+        explicit = extension.explicit_extension(cfg, alpha).rank
+    except (ConditionsFail, NotEquivalenced):
+        explicit = None
+    terwilliger = None
+    if cfg.n <= spectral.TERWILLIGER_POINT_CAP:
+        T = spectral.terwilliger_dimension(cfg, alpha)
+        terwilliger = (T.dimension, T.extension_dimension, T.coincides)
     return (cfg.rank, sorted(cfg.valencies.tolist()),
             A.order, sorted(len(orbit) for orbit in A.orbits()),
             analysis.is_schurian(cfg),
             analysis.algebraic_automorphism_group(cfg).order,
             analysis.is_separable_desk(cfg),
-            extension.coherent_closure(cfg, {alpha}).rank,
+            closure.rank, extension.restriction_semiregular(closure, alpha),
+            explicit, spectral.decompose(cfg).pairs, terwilliger,
             analysis.design_from_scheme(cfg).valid)
 
 

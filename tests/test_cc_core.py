@@ -346,8 +346,8 @@ def _fiber_corruptions(cfg):
 
 def test_fiber_walk_matches_all_references_oracle(corpus, c67k2, c151k3):
     # S3 walked one fiber at a time, against the pass that holds every
-    # reference at once: the same first cells and the same first failing
-    # pair in row-major order, in int64 and in the narrow working copy
+    # reference at once: the same first cells and the same failing pairs,
+    # every row and every pair of it, in int64 and in the narrow working copy
     configs = list(corpus.values()) + [extension.explicit_extension(c, 0)
                                        for c in (c67k2, c151k3)]
     for cfg in configs:
@@ -363,10 +363,11 @@ def test_fiber_walk_matches_all_references_oracle(corpus, c67k2, c151k3):
     for cfg in configs[-2:]:
         for m in _fiber_corruptions(cfg):
             _, first_cell, bad = oracles.verify_classes_all_references(m, cfg.rank, m)
-            assert bad is not None
+            rows = np.flatnonzero(bad.any(axis=1))
             for colors in (m.astype(np.int64), m.astype(cfg.colors.dtype)):
-                ours = cc_core._verify_classes(colors, cfg.rank)
-                assert np.array_equal(ours[0], first_cell) and ours[1] == bad
+                cells, (got, masks) = cc_core._verify_classes(colors, cfg.rank)
+                assert np.array_equal(cells, first_cell) and np.array_equal(got, rows)
+                assert masks.dtype == bool and np.array_equal(masks, bad[rows])
 
 
 def test_relation_fibers_hold_every_cell_and_crossing_is_named(corpus, c67k2, c151k3):

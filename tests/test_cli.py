@@ -120,6 +120,38 @@ def test_group_orbitals_at_the_point_cap(tmp_path, capsys):
     assert time.perf_counter() - start < 30.0
 
 
+def test_construct_builds_a_stabilizer_chain_only_to_read_it(
+        tmp_path, capsys, monkeypatch):
+    # orbital schemes read only the generators: a Schreier-Sims chain that
+    # no one read took 81 s of construct group-orbitals on K2 wr K100
+    # (200 points, a base of 100), in 0.32 s without it
+    schreier_sims, degrees = permgroup._schreier_sims, []
+
+    def counted(*args):
+        degrees.append(args[0])
+        return schreier_sims(*args)
+
+    monkeypatch.setattr(permgroup, "_schreier_sims", counted)
+    gens = tmp_path / "wreath.txt"
+    gens.write_text(_make_group_generators().generator_text("wreath", 2, 100))
+    out = tmp_path / "wreath.json"
+    start = time.perf_counter()
+    code, _, err = run(capsys, "construct", "group-orbitals",
+                       "--generators", str(gens), "-o", str(out))
+    assert time.perf_counter() - start < 5.0
+    assert (code, err) == (0, "")
+    cfg, _ = cli.load_scheme(out)
+    assert (cfg.n, cfg.rank, cfg.valencies.tolist()) == (200, 3, [1, 1, 198])
+    for argv in (["passman", "--q", "5"], ["hollman", "--q", "8"]):
+        code, _, err = run(capsys, "construct", *argv, "-o", str(out))
+        assert (code, err) == (0, ""), argv
+    assert degrees == []
+    # the Frobenius family checks its group order, which reads the chain
+    code, _, err = run(capsys, "construct", "frobenius-example", "--q", "2",
+                       "--n", "3", "-o", str(out))
+    assert (code, err, degrees) == (0, "", [64])
+
+
 def test_construct_affine_plane(tmp_path, capsys):
     lines = []
     for m in range(3):

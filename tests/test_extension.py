@@ -390,25 +390,28 @@ def test_fingerprint_collisions_fall_back_to_exact_grouping(
         monkeypatch, ag23, z3, c13k3):
     import oracles
     normal = extension.coherent_closure(c13k3, {0})
-    regroups = []
-    exact_regroup = cc_core._exact_regroup
+    reported = []
+    verify = cc_core._verify_classes
 
     def spy(colors, r):
-        regroups.append(r)
-        return exact_regroup(colors, r)
+        first_cell, bad = verify(colors, r)
+        reported.append(bad is not None)
+        return first_cell, bad
 
     # constant weights give every pair the same fingerprint
     monkeypatch.setattr(cc_core, "_fingerprint_weights",
                         lambda count: np.ones(count, dtype=np.uint64))
-    monkeypatch.setattr(cc_core, "_exact_regroup", spy)
-    for cfg, dist in ((z3, (0,)), (ag23, (0,)), (ag23, (0, 4)), (z3, ())):
+    monkeypatch.setattr(cc_core, "_verify_classes", spy)
+    for cfg, dist in ((z3, (0,)), (ag23, (0,)), (ag23, (0, 4)), (z3, ()),
+                      (c13k3, (0,))):
         ours = extension.coherent_closure(cfg, dist)
         naive = np.array(oracles.wl_closure_naive(cfg.colors.tolist(), dist))
         assert np.array_equal(ours.colors, cc_core.canonicalize_colors(naive))
-    assert regroups
-    regroups.clear()
+    assert any(reported)
+    reported.clear()
     _assert_same_config(extension.coherent_closure(c13k3, {0}), normal)
-    assert regroups
+    # every pass but the last reported a mismatch, which was split off
+    assert reported[-1] is False and all(reported[:-1]) and len(reported) > 1
 
 
 def test_closure_verifies_only_its_final_round(monkeypatch, c67k2):
@@ -449,11 +452,22 @@ def test_collision_in_an_unverified_round_leaves_the_closure_exact(
                     break
         return new
 
+    verify, reported = cc_core._verify_classes, []
+
+    def spy(colors, r):
+        first_cell, bad = verify(colors, r)
+        reported.append(bad is not None)
+        return first_cell, bad
+
     monkeypatch.setattr(cc_core, "_fingerprint_classes", collide_once)
+    monkeypatch.setattr(cc_core, "_verify_classes", spy)
     for cfg, dist in ((ag23, (0,)), (c13k3, (0,)), (c13k3, (0, 5))):
         merged.clear()
+        reported.clear()
         ours = extension.coherent_closure(cfg, dist)
-        assert merged, (cfg, dist)
+        # the next fingerprint round splits the merged classes again, so
+        # the one exact pass finds no failing pair
+        assert merged and reported == [False], (cfg, dist)
         naive = np.array(oracles.wl_closure_naive(cfg.colors.tolist(), dist))
         assert np.array_equal(ours.colors, cc_core.canonicalize_colors(naive))
 
