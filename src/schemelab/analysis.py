@@ -51,15 +51,10 @@ class ColorBijection:
         R = self.source.rank
         if sorted(self.mapping) != list(range(R)):
             return False
-        a, b, t, c = self.source.tensor.arrays()
-        a2, b2, t2, c2 = self.target.tensor.arrays()
-        if c.size != c2.size:
-            return False
-        m = np.asarray(self.mapping, dtype=np.int64)
-        image = (m[a] * R + m[b]) * R + m[t]
-        order = np.argsort(image)
-        return bool(np.array_equal(image[order], (a2 * R + b2) * R + t2)
-                    and np.array_equal(c[order], c2))
+        T = self.source.tensor
+        m = np.asarray(self.mapping, dtype=cc_core._code_dtype(R))
+        return T.relabeled_equals(self.target.tensor,
+                                  lambda r, s: m[r] * m.dtype.type(R) + m[s], m)
 
     def inverse(self):
         inv = [0] * len(self.mapping)
@@ -305,9 +300,10 @@ def recognize_affine(cfg):
         if cfg.valencies[s] < 3:
             raise ValencyTooSmall(
                 f"valency {int(cfg.valencies[s])} of color {s} is below 3")
-    a, b, _, c = cfg.tensor.arrays()
-    if ((a != star[b]) & (c > 1)).any():
-        return False
+    for _, code, c in cfg.tensor.runs():
+        a, b = np.divmod(code[c > 1], code.dtype.type(cfg.rank))
+        if (a != star[b]).any():
+            return False
     # The criterion forces each relation plus the diagonal to be an
     # equivalence relation; verify as a consistency trap.
     for s in cfg.nondiagonal_colors:

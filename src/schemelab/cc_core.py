@@ -17,15 +17,13 @@ Conventions:
   (``canonicalize_colors``); every derived map uses this ordering so golden
   files are reproducible.  One-point extensions keep their own fiber-ordered
   labeling and skip the relabeling step.
-* The tensor is stored sparsely as two flat arrays: the strictly increasing
-  int64 keys (r*R + s)*R + t of the nonzero c_{rs}^t, R the rank, and their
-  counts.  One-point extensions of a scheme on n points have rank comparable
-  to n^2/4, which neither a dense R^3 array nor one Python dict per (r, s)
-  can accommodate.  The build packs key*(n+1) + count into one int64 and
-  sorts it in place, so R^3 (n+1) must stay below 2^63; every R <= n^2
-  with n <= 511 does, and a configuration past that range raises
-  ``TooLarge``.  Callers read it through ``IntersectionTensor``: single
-  entries, ``products`` slices and the coordinate arrays ``arrays()``.
+* The tensor is the (R, n) matrix of reference signatures, R the rank:
+  c_{rs}^t is the run of code r*R + s in row t.  Extensions of a scheme on
+  n points have rank near n^2/4, too large for a dense R^3 array or a dict
+  per (r, s); the matrix takes R*n narrow codes.  ``IntersectionTensor``
+  reads entries, ``products`` slices, runs a block of rows at a time and
+  coordinate arrays ``arrays()``, whose keys need R^3 < 2^63 (else
+  ``TooLarge``).
 * S3 and the Weisfeiler-Leman closure share one kernel: the sorted
   composition codes color(a,b)*r + color(b,g) of one row of pairs
   (``_row_signatures``), checked class by class against the signature of
@@ -36,9 +34,9 @@ Conventions:
   them (``_weisfeiler_leman``).  S1-S3
   are checked when the configuration is made, and it keeps no reference
   signatures.  The tensor is built on first read: the references are
-  rebuilt from one row signature per fiber (``_reference_signatures``) and
-  packed, so a caller that never reads the tensor (a one-point extension
-  asked only for its rank and fibers) pays for neither.
+  rebuilt from one row signature per fiber (``_reference_signatures``),
+  so a caller that never reads the tensor (a one-point extension asked
+  only for its rank and fibers) does not pay for them.
 * Every layer builds its color matrices in the color type, and any
   arithmetic on a color array first casts the array with ``astype``, to a
   code type (``_code_dtype``) or to int64.  Scalar promotion is never relied
@@ -59,8 +57,7 @@ from .errors import (
     TooLarge,
 )
 
-TENSOR_BUILD_CELLS = 1 << 16    # cells of ``ref`` packed per step of the tensor build
-BLOCK_CELLS = 1 << 14           # cells per step of every other blocked n^2 pass
+BLOCK_CELLS = 1 << 14           # cells per step of every blocked pass
 
 
 def _color_dtype(r):
@@ -105,36 +102,43 @@ def canonicalize_colors(colors):
 
 
 class IntersectionTensor:
-    """Intersection numbers c_{rs}^t of a coherent configuration.
+    """Intersection numbers c_{rs}^t, held as the read-only (rank, n)
+    signature matrix: row t holds the sorted codes r*rank + s (code type)
+    of the first pair of color t, and c_{rs}^t is the run of r*rank + s."""
 
-    Only the nonzero entries are stored, as the sorted keys
-    (r*rank + s)*rank + t and their counts.
-    """
-
-    def __init__(self, rank, keys, counts):
-        self.rank = rank
-        self._keys = keys        # int64, strictly increasing
-        self._counts = counts    # int64, all > 0
-        keys.setflags(write=False)
-        counts.setflags(write=False)
+    def __init__(self, ref):
+        self.rank, self._ref = ref.shape[0], ref
+        ref.setflags(write=False)
 
     def __getitem__(self, rst):
         r, s, t = rst
         R = self.rank
         if 0 <= r < R and 0 <= s < R and 0 <= t < R:
-            key = (int(r) * R + int(s)) * R + int(t)
-            i = self._keys.searchsorted(key)
-            if i < self._keys.size and self._keys[i] == key:
-                return int(self._counts[i])
+            row, code = self._ref[int(t)], int(r) * R + int(s)
+            return int(row.searchsorted(code, "right") - row.searchsorted(code))
         return 0
 
+    def _blocks(self):
+        """(lo, rows lo.. of the signature matrix), BLOCK_CELLS cells a step."""
+        step = max(1, BLOCK_CELLS // self._ref.shape[1])
+        for lo in range(0, self.rank, step):
+            yield lo, self._ref[lo:lo + step]
+
+    def runs(self):
+        """The nonzero entries a block of rows at a time, as (t, code, c) in
+        ascending t and code: t in the color type of the rank, the code
+        r*rank + s in the code type, c_{rs}^t as ``_row_runs`` gives it."""
+        for lo, block in self._blocks():
+            per_row, code, c = _row_runs(block)
+            rows = np.arange(lo, lo + len(block), dtype=_color_dtype(self.rank))
+            yield np.repeat(rows, per_row), code, c
+
     def products(self, r, s):
-        """Nonzero slice {t: c_{rs}^t} for fixed (r, s), in ascending t."""
-        R = self.rank
-        base = (int(r) * R + int(s)) * R
-        lo, hi = np.searchsorted(self._keys, (base, base + R))
-        return dict(zip((self._keys[lo:hi] - base).tolist(),
-                        self._counts[lo:hi].tolist()))
+        """Nonzero slice {t: c_{rs}^t} for ids (r, s), in ascending t."""
+        code = int(r) * self.rank + int(s)
+        c = np.concatenate([np.count_nonzero(b == code, axis=1) for _, b in self._blocks()])
+        t = np.flatnonzero(c)
+        return dict(zip(t.tolist(), c[t].tolist()))
 
     def items(self):
         """Iterate ((r, s, t), c) over nonzero entries in ascending key order."""
@@ -143,15 +147,27 @@ class IntersectionTensor:
             yield (r, s, t), c
 
     def nonzero_count(self):
-        return int(self._keys.size)
+        return sum(c.size for _, _, c in self.runs())
 
     def arrays(self):
         """Nonzero entries as flat int64 arrays (r, s, t, c), sorted by
-        (r, s, t)."""
-        R = self.rank
-        rs, t = np.divmod(self._keys, R)
-        r, s = np.divmod(rs, R)
-        return r, s, t, self._counts
+        (r, s, t): the runs come in ascending t, so a stable sort of codes."""
+        t, code, c = (np.concatenate(x) for x in zip(*self.runs()))
+        order = np.argsort(code, kind="stable")
+        r, s = np.divmod(code[order].astype(np.int64), self.rank)
+        return r, s, t[order].astype(np.int64), c[order].astype(np.int64)
+
+    def relabeled_equals(self, other, codes, rows):
+        """Whether each row t, its codes r*rank + s mapped to ``codes(r, s)``
+        and sorted, equals row rows[t] of ``other``."""
+        if other._ref.shape != self._ref.shape:
+            return False
+        for lo, block in self._blocks():
+            new = codes(*np.divmod(block, block.dtype.type(self.rank)))
+            new.sort(axis=1)
+            if not np.array_equal(new, other._ref[rows[lo:lo + len(block)]]):
+                return False
+        return True
 
 
 class CoherentConfig:
@@ -168,7 +184,7 @@ class CoherentConfig:
     point_fiber : length-n array of fiber indices
     relation_source, relation_target : length-r arrays of fiber indices
     valencies : length-r array, n_s per relation (per source fiber)
-    tensor : IntersectionTensor, built on first read from the reference
+    tensor : IntersectionTensor, on first read the (rank, n) reference
         signatures of the colors (``_reference_signatures``)
     """
 
@@ -190,8 +206,7 @@ class CoherentConfig:
     @property
     def tensor(self):
         if self._tensor is None:
-            self._tensor = _tensor_from_signatures(
-                _reference_signatures(self), self.rank)
+            self._tensor = IntersectionTensor(_reference_signatures(self))
         return self._tensor
 
     @property
@@ -474,10 +489,10 @@ def _checked_config(colors, r, verified=False):
     ``r`` and becomes the configuration's colors, so no n^2 temporary here
     is wider than it."""
     n = colors.shape[0]
-    # The packed tensor build needs every key*(n+1) + count below 2^63.
-    if r ** 3 * (n + 1) >= 2 ** 63:
+    # The keys (r*R + s)*R + t of ``arrays()`` stay below 2^63.
+    if r ** 3 >= 2 ** 63:
         raise TooLarge(f"rank {r} on {n} points exceeds the tensor key range "
-                       "(rank^3 * (n + 1) must stay below 2^63)")
+                       "(rank^3 must stay below 2^63)")
     # S1: a color that meets the diagonal must lie inside it.
     diag = colors.diagonal().copy()
     diag_counts = np.bincount(diag, minlength=r)
@@ -569,12 +584,18 @@ def _split_transpose(colors, r):
 
 
 def _row_runs(rows):
-    """The flat start and the length of every run of equal entries in the
-    rows of a row-sorted matrix of fewer than 2^31 cells, in int32."""
+    """Runs of equal entries in the rows of a row-sorted (m, n) matrix: the
+    count per row, and each run's entry and length (in the color type of
+    n + 1), row-major."""
+    n = rows.shape[1]
     opens = np.ones(rows.shape, dtype=bool)
     np.not_equal(rows[:, 1:], rows[:, :-1], out=opens[:, 1:])
-    starts = np.flatnonzero(opens).astype(np.int32)
-    return starts, np.diff(starts, append=np.int32(rows.size))
+    per_row = np.count_nonzero(opens, axis=1)
+    start = np.broadcast_to(np.arange(n, dtype=_color_dtype(n + 1)), rows.shape)[opens]
+    length = np.subtract(np.append(start[1:], start.dtype.type(0)), start)   # wraps at row ends
+    last = np.cumsum(per_row) - 1
+    length[last] = n - start[last]
+    return per_row, rows[opens], length
 
 
 def _source_valencies(colors, fibers, total_counts):
@@ -597,37 +618,9 @@ def _source_valencies(colors, fibers, total_counts):
         off[ids] = total_counts[ids] != points.size * counts
     step = max(1, BLOCK_CELLS // n)
     for lo in range(0, n, step):
-        by_row = np.sort(colors[lo:lo + step], axis=1)
-        starts, counts = _row_runs(by_row)
-        color = by_row.ravel()[starts]
+        _, color, counts = _row_runs(np.sort(colors[lo:lo + step], axis=1))
         off[color[counts != valencies[color]]] = True
     return valencies, int(np.flatnonzero(off)[0]) if off.any() else None
-
-
-def _tensor_from_signatures(ref, r):
-    """The tensor from the reference signatures: row t of ``ref`` holds the
-    sorted composition codes u*r + s of one pair of color t, so each run of
-    equal codes in it is one nonzero c_{us}^t.
-
-    Each nonzero is packed as key*(n+1) + count in one int64 (a run is at
-    most n long, and keys are distinct), a block of rows at a time; the
-    packed array is sorted and unpacked in place.  Besides the two result
-    arrays only one block's scratch is live."""
-    rows, n = ref.shape
-    step = max(1, TENSOR_BUILD_CELLS // n)
-    blocks = [(lo, ref[lo:lo + step]) for lo in range(0, rows, step)]
-    nnz = rows + sum(np.count_nonzero(b[:, 1:] != b[:, :-1]) for _, b in blocks)
-    packed = np.empty(nnz, dtype=np.int64)
-    end = 0
-    for lo, block in blocks:
-        starts, counts = _row_runs(block)
-        keys = block.ravel()[starts].astype(np.int64) * r + (starts // n + lo)
-        packed[end:end + starts.size] = keys * (n + 1) + counts
-        end += starts.size
-    packed.sort()
-    counts = np.remainder(packed, n + 1)
-    keys = np.floor_divide(packed, n + 1, out=packed)
-    return IntersectionTensor(r, keys, counts)
 
 
 def _crossed_source_fibers(colors, point_fiber, nf):
@@ -651,13 +644,12 @@ def _first_multiset_difference(a, b):
 
 
 def tensor_support(cfg):
-    """The dense (rank, rank, rank) boolean array of c_{rs}^t > 0, read off
-    the reference signatures, so that no tensor is built for it: row t of
-    ``_reference_signatures`` holds the codes r*rank + s of every nonzero
-    c_{rs}^t."""
+    """The dense (rank, rank, rank) boolean array of c_{rs}^t > 0: row t
+    of the tensor's signature matrix holds the codes r*rank + s of every
+    nonzero c_{rs}^t."""
     R = cfg.rank
     P = np.zeros((R * R, R), dtype=bool)
-    P[_reference_signatures(cfg), np.arange(R)[:, None]] = True
+    P[cfg.tensor._ref, np.arange(R)[:, None]] = True
     return P.reshape(R, R, R)
 
 
@@ -670,13 +662,16 @@ def complex_product(cfg, r, s):
 
 def indistinguishing_numbers(cfg):
     """c(s) = sum_t c_{t t*}^s for every color s, as one int array read off
-    the tensor in a single pass; c(1_Omega) = n."""
+    the runs of the tensor; c(1_Omega) = n."""
     _require_scheme(cfg)
-    r, s, t, c = cfg.tensor.arrays()
-    keep = s == cfg.star[r]
-    out = np.zeros(cfg.rank, dtype=np.int64)
-    np.add.at(out, t[keep], c[keep])
-    return out
+    R = cfg.rank
+    pair = np.zeros(R * R, dtype=bool)
+    pair[np.arange(R) * R + cfg.star] = True    # codes t*R + t*
+    out = np.zeros(R)
+    for s, code, c in cfg.tensor.runs():
+        keep = pair[code]
+        out += np.bincount(s[keep], c[keep], R)
+    return out.astype(np.int64)
 
 
 def indistinguishing_number(cfg, s):
@@ -688,10 +683,15 @@ def indistinguishing_number(cfg, s):
 
 
 def reg_numbers(cfg):
-    """reg(s) = sum_t c_{s t}^t for every color s, in one pass over the tensor."""
+    """reg(s) = sum_t c_{s t}^t for every color s, read off the runs of the
+    tensor."""
     _require_scheme(cfg)
-    r, t, u, c = cfg.tensor.arrays()
-    return np.bincount(r[t == u], c[t == u], cfg.rank).astype(np.int64)
+    R = cfg.rank
+    out = np.zeros(R)
+    for t, code, c in cfg.tensor.runs():
+        keep = code % code.dtype.type(R) == t
+        out += np.bincount(code[keep] // code.dtype.type(R), c[keep], R)
+    return out.astype(np.int64)
 
 
 def reg_number(cfg, s):
@@ -740,12 +740,9 @@ def is_pseudocyclic_combinatorial(cfg):
 
 def is_commutative(cfg):
     """Whether c_{rs}^t = c_{sr}^t for all triples."""
-    R = cfg.rank
-    r, s, t, c = cfg.tensor.arrays()
-    swapped = (s * R + r) * R + t
-    order = np.argsort(swapped)
-    return bool(np.array_equal(swapped[order], (r * R + s) * R + t)
-                and np.array_equal(c[order], c))
+    T = cfg.tensor
+    R = T._ref.dtype.type(cfg.rank)
+    return T.relabeled_equals(T, lambda r, s: s * R + r, np.arange(cfg.rank))
 
 
 def is_symmetric(cfg):

@@ -1,11 +1,14 @@
 """Numerical Wedderburn decomposition of the adjacency algebra.
 
 All work is on length-r coefficient vectors and r x r matrices, with no
-n x n matrix.  A random element z of the center (solved from the
-intersection numbers, or all of A when the scheme is commutative) acts on
-A = span{A(s)} by left multiplication; in the trace-orthonormal basis
-A(s)/sqrt(n n_s) its Hermitian and skew parts are commuting Hermitian
-matrices whose joint eigenspaces are the ideals e_P A, of dimension n_P^2.
+n x n matrix; the intersection numbers are read as runs of the tensor's
+signature matrix, a block of rows at a time.  A random element z of the
+center (all of A when the scheme is commutative, else the null space of
+the commutator equations, folded block by block into one r x r triangular
+factor) acts on A = span{A(s)} by left multiplication; in the
+trace-orthonormal basis A(s)/sqrt(n n_s) its Hermitian and skew parts are
+commuting Hermitian matrices whose joint eigenspaces are the ideals e_P A,
+of dimension n_P^2.
 e_P is the projection of the identity onto its ideal, and
 m_P = n e_P[identity] / n_P.  Integer invariants (sum of m*n equal to the
 degree, sum of n^2 equal to the rank, m >= n, a principal J/n block) and
@@ -34,7 +37,7 @@ CLUSTER_TOL = 1e-8      # eigenvalue gap, relative to the spectral radius
 RANK_TOL = 1e-8         # singular-value threshold, relative to sigma_max
 INT_TOL = 1e-6          # residual allowed when rounding to integers
 DEGREE_CAP = 500
-RANK_CAP = 200          # a non-commutative center solve is dense in (rank^2, rank)
+RANK_CAP = 200          # a non-commutative center folds rank^2 equations: rank^4 time
 TERWILLIGER_POINT_CAP = 200
 
 
@@ -80,29 +83,56 @@ def _center_basis(cfg):
 
     A commutative algebra is its own center, and the identity basis is
     orthonormal: the SVD of its all-zero equations would return exactly
-    that basis."""
+    that basis.  Otherwise the (r^2, r) equations, c_{at}^u - c_{ta}^u at
+    row (t, u) and column a, are made for a block of u at a time and folded
+    into one r x r triangular factor (sequential TSQR: Demmel, Grigori,
+    Hoemmen and Langou, 2012); all-zero rows are dropped first.  The factor
+    has the singular values and right singular vectors of the whole system,
+    so RANK_TOL keeps its meaning."""
     r = cfg.rank
     if cc_core.is_commutative(cfg):
         return np.eye(r)
-    a, b, u, c = cfg.tensor.arrays()
-    eqs = np.zeros((r * r, r))
-    np.add.at(eqs, (b * r + u, a), c)    # + c_{ab}^u  at equation (t=b, u)
-    np.add.at(eqs, (a * r + u, b), -c)   # - c_{ab}^u  at equation (t=a, u)
-    # eqs is (r^2, r): the reduced SVD already has all r right singular
-    # vectors, without the (r^2, r^2) U of the full one.
-    _, sv, vt = np.linalg.svd(eqs, full_matrices=False)
+    factor = np.zeros((0, r))
+    step = max(1, cc_core.BLOCK_CELLS // (r * r))
+    for t, code, c in cfg.tensor.runs():
+        t, (a, b) = t.astype(np.intp), np.divmod(code.astype(np.intp), r)
+        for lo in range(t[0], t[-1] + 1, step):
+            i, j = np.searchsorted(t, (lo, lo + step))
+            u = t[i:j] - lo
+            eqs = np.zeros((step * r, r))
+            np.add.at(eqs, (u * r + b[i:j], a[i:j]), c[i:j])     # + c_{ab}^u at (t=b, u)
+            np.subtract.at(eqs, (u * r + a[i:j], b[i:j]), c[i:j])  # - c_{ab}^u at (t=a, u)
+            eqs = eqs[eqs.any(axis=1)]
+            factor = np.linalg.qr(np.vstack([factor, eqs]), mode="r")
+    _, sv, vt = np.linalg.svd(factor)
     rank = int((sv > RANK_TOL * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
     return vt[rank:]
 
 
-def _left_matrix(tensor_arrays, x, r):
+def _left_matrix(runs, x, r):
     """L[t, s] = sum_a x_a c_{as}^t, left multiplication by sum_a x_a A(a)
     in coefficients."""
-    a, s, t, c = tensor_arrays
-    cell = t * r + s
-    w = x[a] * c
-    left = np.bincount(cell, w.real, r * r) + 1j * np.bincount(cell, w.imag, r * r)
+    left = np.zeros(r * r, dtype=complex)
+    for t, code, c, _ in runs:
+        a, s = np.divmod(code, code.dtype.type(r))
+        cell = t.astype(code.dtype) * code.dtype.type(r) + s
+        left.real += np.bincount(cell, x.real[a] * c, r * r)
+        left.imag += np.bincount(cell, x.imag[a] * c, r * r)
     return left.reshape(r, r)
+
+
+def _square(runs, x, r):
+    """The coefficients of (sum_a x_a A(a))^2: sum_{a,s} x_a x_s c_{as}^t,
+    with x_a x_s read off the outer product at the code a*r + s."""
+    pairs = np.outer(x, x).ravel()
+    out = np.empty(r, dtype=complex)
+    for t, code, c, first in runs:
+        rows = out[t[0]:t[0] + first.size]
+        for part, into in ((pairs.real, rows.real), (pairs.imag, rows.imag)):
+            w = np.take(part, code)
+            w *= c
+            into[:] = np.add.reduceat(w, first)
+    return out
 
 
 def _cluster(values, scale):
@@ -131,20 +161,22 @@ def _center_weights(d, seed):
     return u[:d] + 1j * u[d:]
 
 
-def _attempt(cfg, tensor_arrays, basis, seed):
+def _attempt(cfg, runs, basis, seed):
     n, r = cfg.n, cfg.rank
     d = basis.shape[0]
     z = basis.T @ _center_weights(d, seed)
     # In the basis A(s)/sqrt(n n_s) the adjoint of left multiplication by x
     # is left multiplication by x*, so both parts below are Hermitian.
     root = np.sqrt(cfg.valencies.astype(np.float64))
-    L = root[:, None] * _left_matrix(tensor_arrays, z, r) / root
+    L = root[:, None] * _left_matrix(runs, z, r) / root
     H1 = (L + L.conj().T) / 2
     H2 = (L - L.conj().T) / 2j
-    scale = max(np.linalg.norm(H1, 2), np.linalg.norm(H2, 2), 1e-12)
+    del L
+    # the spectral norm of a Hermitian matrix is its largest |eigenvalue|
+    vals1, vecs1 = np.linalg.eigh(H1)
+    scale = max(np.abs(vals1).max(), np.abs(np.linalg.eigvalsh(H2)).max(), 1e-12)
 
     spaces = []
-    vals1, vecs1 = np.linalg.eigh(H1)
     for cl1 in _cluster(vals1, scale):
         V1 = vecs1[:, cl1]
         B = V1.conj().T @ H2 @ V1
@@ -153,6 +185,7 @@ def _attempt(cfg, tensor_arrays, basis, seed):
             spaces.append(V1 @ vecs2[:, cl2])
     if len(spaces) != d:
         raise _Unstable(f"{len(spaces)} joint eigenspaces for center of dim {d}")
+    del H1, H2, vecs1, V1
 
     one = cfg.identity_color
     blocks = []
@@ -160,7 +193,7 @@ def _attempt(cfg, tensor_arrays, basis, seed):
         # The identity is sqrt(n) times basis vector `one`; project it onto
         # the ideal V and map back to coefficients.
         e = V @ V[one].conj() / root
-        if np.abs(_left_matrix(tensor_arrays, e, r) @ e - e).max() > INT_TOL \
+        if np.abs(_square(runs, e, r) - e).max() > INT_TOL \
                 or np.abs(e[cfg.star] - e.conj()).max() > INT_TOL:
             raise _Unstable("idempotent fails e e = e or e* = e")
         n_p = _round_int(float(np.sqrt(V.shape[1])), "sqrt(dim e_P A)")
@@ -195,12 +228,14 @@ def decompose(cfg):
         raise TooLarge(f"degree {cfg.n} exceeds spectral cap {DEGREE_CAP}")
     if cfg.rank > RANK_CAP:
         raise TooLarge(f"rank {cfg.rank} exceeds spectral cap {RANK_CAP}")
-    tensor_arrays = cfg.tensor.arrays()
+    # the runs, read once for every attempt, with the first run of each row
+    runs = [(t, code, c, np.unique(t, return_index=True)[1])
+            for t, code, c in cfg.tensor.runs()]
     basis = _center_basis(cfg)
     last = None
     for attempt in range(ATTEMPTS):
         try:
-            return _attempt(cfg, tensor_arrays, basis, DEFAULT_SEED + attempt)
+            return _attempt(cfg, runs, basis, DEFAULT_SEED + attempt)
         except _Unstable as exc:
             last = exc
     raise DecompositionUnstable(f"all {ATTEMPTS} attempts failed: {last}")
@@ -283,13 +318,22 @@ def terwilliger_dimension(cfg, alpha):
     sizes = np.bincount(group, minlength=r * r)
     g = int(sizes.max())
     pos = np.argsort(np.argsort(group, kind="stable")) - (np.cumsum(sizes) - sizes)[group]
-    # the nonzero g x g blocks of E*_u' A(s) E*_u in column v, by (v, u, s, u')
-    a, b, t, c = ext.tensor.arrays()
-    keys, block = np.unique((group[b] * r + parent[a]) * r + source[t], return_inverse=True)
-    blocks = np.bincount((block * g + pos[t]) * g + pos[b], c,
-                         keys.size * g * g).reshape(-1, g, g)
-    starts = np.searchsorted(keys // (r * r), np.arange(r * r + 1))
-    to = keys // r ** 3 * r + keys % r
+    # the g x g blocks of E*_u' A(s) E*_u in column v, by (v, u, s, u'): one
+    # for every v and every nonzero c_{u's}^u of the scheme, whose triples
+    # (u, s, u') number them within each v
+    triples = np.sort(np.concatenate([(t.astype(np.int64) * r + code % r) * r + code // r
+                                      for t, code, _ in cfg.tensor.runs()]))
+    N = triples.size
+    blocks = np.zeros((r * N, g, g))
+    for t, code, c in ext.tensor.runs():
+        a, b = np.divmod(code, code.dtype.type(R))
+        key = target[b] * N + np.searchsorted(triples, (source[b] * r + parent[a]) * r + source[t])
+        np.add.at(blocks.reshape(-1), (key * g + pos[t]) * g + pos[b], c)
+    starts = np.append(np.arange(r)[:, None] * N
+                       + np.searchsorted(triples // (r * r), np.arange(r)), r * N)
+
+    def to(key):
+        return key // N * r + triples[key % N] % r
     span = np.zeros((r * r, g, g))              # projector onto each group's span
     found = np.zeros(r * r, dtype=np.int64)
     cu, cand = np.arange(r) * (r + 1), np.zeros((r, g))    # candidates: E*_v first
@@ -307,9 +351,17 @@ def terwilliger_dimension(cfg, alpha):
         span[live] += (U * new[:, None]) @ U.transpose(0, 2, 1)
         found[live] += new.sum(axis=1)
         fl, fj = np.nonzero(new)
-        hits = starts[live[fl] + 1] - starts[live[fl]]   # blocks out of each new direction
-        hit, of = _segments(starts[live[fl]], hits), np.repeat(np.arange(fl.size), hits)
-        hit, of = np.stack([hit, of])[:, found[to[hit]] < sizes[to[hit]]]  # open targets
-        cu = to[hit]
-        cand = np.einsum("nab,nb->na", blocks[hit], U[fl[of], :, fj[of]])
+        first = starts[live[fl]]
+        hits = starts[live[fl] + 1] - first   # blocks out of each new direction
+        step = max(1, cc_core.BLOCK_CELLS // max(1, int(hits.max(initial=0))))
+        cu, cand = [np.empty(0, dtype=np.int64)], [np.empty((0, g))]
+        for lo in range(0, fl.size, step):      # a chunk of directions at a time
+            hit = _segments(first[lo:lo + step], hits[lo:lo + step])
+            of = np.repeat(np.arange(lo, min(lo + step, fl.size)), hits[lo:lo + step])
+            dest = to(hit)
+            open_ = found[dest] < sizes[dest]
+            cu.append(dest[open_])
+            cand.append(np.einsum("nab,nb->na", blocks[hit[open_]],
+                                  U[fl[of[open_]], :, fj[of[open_]]]))
+        cu, cand = np.concatenate(cu), np.concatenate(cand)
     return TerwilligerResult(alpha, int(found.sum()), R, bool(found.sum() == R))

@@ -444,6 +444,20 @@ def central_idempotents_naive(cfg, seed=0, tol=1e-8):
     return [blocks[i] for i in [p0] + rest]
 
 
+def center_basis_dense(cfg, tol=1e-8):
+    """Orthonormal coefficient vectors spanning the center of the adjacency
+    algebra: the null space of the dense (r^2, r) commutator equations,
+    c_{at}^u - c_{ta}^u at row (t, u) and column a, from one SVD, with
+    singular values below tol * sigma_max taken as zero."""
+    r = cfg.rank
+    a, b, u, c = cfg.tensor.arrays()
+    eqs = np.zeros((r * r, r))
+    np.add.at(eqs, (b * r + u, a), c)
+    np.add.at(eqs, (a * r + u, b), -c)
+    _, sv, vt = np.linalg.svd(eqs, full_matrices=False)
+    return vt[int((sv > tol * sv[0]).sum()) if sv[0] > 0 else 0:]
+
+
 def verify_classes_all_references(colors, r, classes):
     """The S3 pass that holds the reference of every class at once: row c
     of ref holds the sorted composition codes colors(a,b)*r + colors(b,g)

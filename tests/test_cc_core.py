@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from schemelab import cc_core, cli, constructors, extension
+from schemelab import analysis, cc_core, cli, constructors, extension, spectral
 from schemelab.analysis import ColorBijection
 from schemelab.errors import (
     AxiomS1Violated,
@@ -15,6 +15,7 @@ from schemelab.errors import (
     AxiomS3Violated,
     NotAScheme,
     TooLarge,
+    ValencyTooSmall,
 )
 
 Z3_MATRIX = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
@@ -135,8 +136,9 @@ def test_narrow_types_at_their_boundaries(n, tmp_path):
     ref = cc_core._reference_signatures(cfg)
     assert ref.dtype == (np.uint16 if narrow else np.int32)
     keys, counts = oracles.tensor_from_signatures_argsort(ref, n)
-    assert np.array_equal(cfg.tensor._keys, keys)
-    assert np.array_equal(cfg.tensor._counts, counts)
+    u, s, t, c = cfg.tensor.arrays()
+    assert np.array_equal((u * n + s) * n + t, keys)
+    assert np.array_equal(c, counts)
     # C[a, b] = b - a, so c_{rs}^t = 1 exactly when t = r + s mod n
     r, s = np.divmod(np.arange(n * n), n)
     assert np.array_equal(keys, (r * n + s) * n + (r + s) % n)
@@ -293,35 +295,95 @@ def test_color_transpositions_valid_iff_tensor_preserved(corpus):
     assert rejected
 
 
-def test_extension_tensor_stores_at_most_16_bytes_per_nonzero(c67k2):
-    # the rank-2245 point extension; one dict per (r, s) took ~360 bytes
-    # per nonzero
+def test_extension_tensor_stores_exactly_its_signature_matrix(c67k2):
+    # the rank-2245 point extension: one dict per (r, s) took ~360 bytes
+    # per nonzero, the packed int64 keys and counts 16 (2.35 MB); the
+    # (rank, n) signature matrix in int32 codes takes 0.59 MB
     T = extension.coherent_closure(c67k2, {0}).tensor
     assert T.rank == 2245
     stored = [v for k, v in vars(T).items() if k != "rank"]
-    assert all(isinstance(v, np.ndarray) for v in stored)
-    assert sum(v.nbytes for v in stored) <= 16 * T.nonzero_count()
+    assert all(isinstance(v, np.ndarray) and not v.flags.writeable for v in stored)
+    assert sum(v.nbytes for v in stored) == 2245 * 67 * 4
 
 
-def test_packed_tensor_build_matches_argsort_oracle(corpus, c67k2, c151k3, monkeypatch):
+def test_tensor_views_match_argsort_oracle(corpus, c67k2, c151k3, monkeypatch):
     configs = list(corpus.values()) + [extension.coherent_closure(c67k2, {0}),
                                        extension.explicit_extension(c151k3, 0)]
     assert [cfg.rank for cfg in configs[-2:]] == [2245, 7601]
-    # one block of rows per 2^16 cells, then every row its own block
-    for cells, cfgs in ((cc_core.TENSOR_BUILD_CELLS, configs), (1, corpus.values())):
-        monkeypatch.setattr(cc_core, "TENSOR_BUILD_CELLS", cells)
+    # one block of rows per 2^14 cells, then every row its own block
+    for cells, cfgs in ((cc_core.BLOCK_CELLS, configs), (1, list(corpus.values()))):
+        monkeypatch.setattr(cc_core, "BLOCK_CELLS", cells)
         for cfg in cfgs:
-            ref, _, bad = oracles.verify_classes_all_references(
-                cfg.colors, cfg.rank, cfg.colors)
+            R = cfg.rank
+            ref, _, bad = oracles.verify_classes_all_references(cfg.colors, R, cfg.colors)
             assert bad is None
-            keys, counts = oracles.tensor_from_signatures_argsort(ref, cfg.rank)
-            fresh = cc_core._tensor_from_signatures(
-                cc_core._reference_signatures(cfg), cfg.rank)
-            for T in (cfg.tensor, fresh):
-                assert T._keys.dtype == keys.dtype and T._counts.dtype == counts.dtype
-                assert np.array_equal(T._keys, keys) and np.array_equal(T._counts, counts)
-                assert not T._keys.flags.writeable and not T._counts.flags.writeable
-            assert cfg.tensor is cfg.tensor
+            keys, counts = oracles.tensor_from_signatures_argsort(ref, R)
+            T = cfg.tensor
+            assert T is cfg.tensor
+            u, s, t, c = T.arrays()
+            assert all(x.dtype == np.int64 for x in (u, s, t, c))
+            assert np.array_equal((u * R + s) * R + t, keys) and np.array_equal(c, counts)
+            assert T.nonzero_count() == keys.size
+            # the runs come in ascending t, and within a row in ascending code
+            t, code, c = (np.concatenate(x) for x in zip(*T.runs()))
+            by_row = np.lexsort((keys // R, keys % R))
+            assert np.array_equal(t, keys[by_row] % R)
+            assert np.array_equal(code, keys[by_row] // R) and np.array_equal(c, counts[by_row])
+
+
+def test_readers_hold_no_nnz_sized_int64_array(monkeypatch):
+    # c499k6: rank 84, 40 671 nonzero intersection numbers.  The readers
+    # take the runs of the signature matrix a block of rows at a time; the
+    # int64 coordinate arrays (four of 8 bytes per nonzero) took
+    # is_commutative to 2266 KiB, indistinguishing_numbers to 1311,
+    # reg_numbers to 1273 and decompose to 3219, against 158, 208, 201 and
+    # 1074 KiB on the runs
+    c = constructors.cyclotomic_scheme(constructors.FiniteField(499), 6)
+    one = 8 * c.tensor.nonzero_count()      # one int64 array of the nonzeros
+
+    def refuse(self):
+        raise AssertionError("arrays() read")
+
+    monkeypatch.setattr(cc_core.IntersectionTensor, "arrays", refuse)
+    for reader in (cc_core.is_commutative, cc_core.indistinguishing_numbers,
+                   cc_core.reg_numbers):
+        _, peak = oracles.traced_peak(reader, c)
+        assert peak < one, reader.__name__
+    # decompose holds r x r complex matrices besides; it stays below the
+    # four arrays alone
+    dec, peak = oracles.traced_peak(spectral.decompose, c)
+    assert len(dec.blocks) == 84 and peak < 4 * one
+
+
+def _affine(cfg):
+    try:
+        return analysis.recognize_affine(cfg)
+    except ValencyTooSmall:
+        return None
+
+
+@pytest.mark.parametrize("cells", [1, 97])
+def test_block_readers_do_not_depend_on_the_block_size(corpus, cells, monkeypatch):
+    # one row of the signature matrix per block, and blocks of a few rows
+    # that do not divide the rank
+    answers = {}
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(cc_core, "BLOCK_CELLS", cells)
+        for name, cfg in corpus.items():
+            T = cfg.tensor
+            star = tuple(int(s) for s in cfg.star)
+            answers.setdefault(name, []).append((
+                cc_core.is_commutative(cfg),
+                cc_core.indistinguishing_numbers(cfg).tolist(),
+                cc_core.reg_numbers(cfg).tolist(),
+                ColorBijection(cfg, cfg, star).is_valid(),
+                _affine(cfg),
+                spectral.decompose(cfg).pairs,
+                [T.products(a, b) for a in range(cfg.rank) for b in range(cfg.rank)],
+                T.nonzero_count()))
+    for name, (before, after) in answers.items():
+        assert before == after, name
 
 
 def _fiber_corruptions(cfg):
@@ -399,20 +461,22 @@ def test_closure_peak_memory_stays_near_the_tensor(c151k3):
 
 
 def test_key_range_cap_refuses_before_allocating():
-    # 600 points, the diagonal one color and every other cell its own:
-    # rank 359 401, whose rank^3 * 601 passes 2^63
-    n = 600
+    # 1449 points, the diagonal one color and every other cell its own:
+    # rank 2 098 153, whose cube passes 2^63, the range of the keys of
+    # ``arrays()``
+    n = 1449
     m = np.arange(1, n * n + 1).reshape(n, n)
     np.fill_diagonal(m, 0)
     m = cc_core.canonicalize_colors(m)
 
     def refuse():
-        with pytest.raises(TooLarge, match="rank 359401 on 600 points"):
-            cc_core.validate_config(m)
+        with pytest.raises(TooLarge, match="rank 2098153 on 1449 points"):
+            cc_core.validate_config(m, canonicalize=False)
 
     _, peak = oracles.traced_peak(refuse)
-    # an (n, rank) int64 array alone would take 1.6 GiB
-    assert peak < 32 * 2**20
+    # the int32 copy of the colors and the first cell of every id take
+    # 16.2 MiB; an (n, rank) signature matrix would take 11.3 GiB
+    assert peak < 24 * 2**20
 
 
 def test_only_cc_core_reads_tensor_internals():

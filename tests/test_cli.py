@@ -328,22 +328,22 @@ def test_analyze_rejects_corrupted_file(tmp_path, capsys, c67_file):
 def test_extend_never_builds_an_extension_tensor(c67_file, capsys, monkeypatch):
     # rank, fibers, semiregularity and agreement need no intersection
     # numbers of the extension; the explicit method reads only the support
-    # of the base's, off its reference signatures, once, and builds no tensor
+    # of the base's tensor, whose signature matrix is built once
     read, built = [], []
-    signatures, pack = cc_core._reference_signatures, cc_core._tensor_from_signatures
+    signatures, make = cc_core._reference_signatures, cc_core.IntersectionTensor
 
     def spy(cfg):
         read.append(cfg.rank)
         return signatures(cfg)
 
     monkeypatch.setattr(cc_core, "_reference_signatures", spy)
-    monkeypatch.setattr(cc_core, "_tensor_from_signatures",
-                        lambda ref, r: built.append(r) or pack(ref, r))
+    monkeypatch.setattr(cc_core, "IntersectionTensor",
+                        lambda ref: built.append(ref.shape[0]) or make(ref))
     code, out, _ = run(capsys, "extend", str(c67_file), "--point", "0",
                        "--method", "both", "--json")
     assert code == 0 and json.loads(out)["rank"] == 2245
     assert read == [34]
-    assert built == []
+    assert built == [34]
 
 
 def test_extend_peak_memory_stays_below_the_extension_tensor(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from schemelab import cc_core, extension, spectral
+from schemelab import cc_core, constructors, extension, spectral
 from schemelab.errors import NotAScheme
 
 AFM_TOL = 1e-6
@@ -306,3 +306,52 @@ def test_rank_167_center_solve_fits_in_memory():
     # center equations 75 MiB; a commutative scheme skips them
     assert peak < 16 * 2**20
     assert spectral.is_pseudocyclic_spectral(c, dec) == 3
+
+
+def _dihedral_table(m):
+    """Cayley table of the dihedral group of order 2m: element j*m + i is
+    rho^i sigma^j, and (i, j)(k, l) = (i + (-1)^j k, j + l)."""
+    j, i = np.divmod(np.arange(2 * m), m)
+    return (j[:, None] + j) % 2 * m + (i[:, None] + (1 - 2 * j[:, None]) * i) % m
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+def test_center_basis_matches_the_dense_svd(corpus, cells, monkeypatch):
+    # the center folded into one r x r factor block by block spans the
+    # null space of the whole (r^2, r) system; with one cell per block
+    # every row of the tensor is its own block and every u its own fold
+    if cells is not None:
+        monkeypatch.setattr(cc_core, "BLOCK_CELLS", cells)
+    d6 = constructors.regular_scheme(_dihedral_table(6))
+    for name, cfg in dict(corpus, d6=d6).items():
+        basis, dense = spectral._center_basis(cfg), oracles.center_basis_dense(cfg)
+        assert basis.shape == dense.shape, name
+        assert np.abs(basis.T @ basis - dense.T @ dense).max() < 1e-10, name
+    assert spectral._center_basis(d6).shape == (6, 12)
+
+
+def test_decompose_at_the_rank_cap():
+    # the regular scheme of the dihedral group of order 200: rank 200 and
+    # not commutative.  The dense (r^2, r) center SVD peaked at 125 MiB
+    # traced (282 MB VmHWM) and took 0.6-1.6 s; folded into one r x r
+    # factor, 3.1 MiB traced (39 MB VmHWM) and 0.6 s
+    d100 = constructors.regular_scheme(_dihedral_table(100))
+    assert d100.rank == spectral.RANK_CAP and not cc_core.is_commutative(d100)
+    dec, peak = oracles.traced_peak(spectral.decompose, d100)
+    # four linear characters and 49 of degree 2, and m_P = n_P in a
+    # regular scheme
+    assert dec.pairs == [(1, 1)] * 4 + [(2, 2)] * 49
+    assert peak < 16 * 2**20
+
+
+def test_terwilliger_at_the_point_cap():
+    # the regular scheme of Z_200: its extension at a point is discrete, of
+    # rank 40 000 = n^2.  The int64 coordinate arrays of the extension's
+    # tensor, their np.unique and the 8 M block hits expanded at once
+    # peaked at 983 MiB traced (1027 MB VmHWM); numbering the blocks by
+    # the scheme's triples and expanding a chunk of directions at a time,
+    # at 101.5 MiB (135 MB VmHWM)
+    z200 = constructors.regular_scheme(constructors.cyclic_group_table(200))
+    res, peak = oracles.traced_peak(spectral.terwilliger_dimension, z200, 0)
+    assert res.dimension == res.extension_dimension == 40000 and res.coincides
+    assert peak < 128 * 2**20
