@@ -25,18 +25,21 @@ Conventions:
   coordinate arrays ``arrays()``, whose keys need R^3 < 2^63 (else
   ``TooLarge``).
 * S3 and the Weisfeiler-Leman closure share one kernel: the sorted
-  composition codes color(a,b)*r + color(b,g) of one row of pairs
+  composition codes color(a,b)*r + color(b,g) of pairs of one row
   (``_row_signatures``), checked class by class against the signature of
-  each class's first pair (``_verify_classes``), one fiber at a time, so
-  only the references of the current fiber's classes are alive.  The pass
-  reports every failing pair: ``validate_config`` names the first, and a
-  closure round that a fingerprint collision left unsplit is split by
-  them (``_weisfeiler_leman``).  S1-S3
-  are checked when the configuration is made, and it keeps no reference
-  signatures.  The tensor is built on first read: the references are
-  rebuilt from one row signature per fiber (``_reference_signatures``),
-  so a caller that never reads the tensor (a one-point extension asked
-  only for its rank and fibers) does not pay for them.
+  each class's first pair (``_verify_classes``), one fiber at a time.
+  Under S2 the signature of (g, a) is that of (a, g) under the code map
+  u*r + s -> s* *r + u*, so the pass walks the pairs on or above the
+  diagonal and, below it, the first pairs and their transposes; a failing
+  pair, or S2 failing, and it walks every pair, so it reports every
+  failing pair: ``validate_config`` names the first, and a closure round
+  that a fingerprint collision left unsplit is split by them
+  (``_weisfeiler_leman``).  S1-S3 are checked when the configuration is
+  made, and it keeps no reference signatures.  The tensor is built on
+  first read: the references are rebuilt from one row signature per fiber
+  (``_reference_signatures``), so a caller that never reads the tensor (a
+  one-point extension asked only for its rank and fibers) does not pay for
+  them.
 * Every layer builds its color matrices in the color type, and any
   arithmetic on a color array first casts the array with ``astype``, to a
   code type (``_code_dtype``) or to int64.  Scalar promotion is never relied
@@ -93,11 +96,15 @@ def canonicalize_colors(colors):
     if int(colors.max()) >= colors.size:
         distinct = np.unique(colors)
         colors = np.searchsorted(distinct, colors).astype(_color_dtype(distinct.size))
-    first = first_cells(colors)
-    r = first.size
+    return _relabeled(colors, first_cells(colors))
+
+
+def _relabeled(colors, first):
+    """``colors`` with each id relabeled to the rank of its first cell
+    ``first[id]``, in the color type of the rank."""
     order = np.argsort(first, kind="stable")
-    relabel = np.empty(r, dtype=_color_dtype(r))
-    relabel[order] = np.arange(r)
+    relabel = np.empty(first.size, dtype=_color_dtype(first.size))
+    relabel[order] = np.arange(first.size)
     return relabel[colors]
 
 
@@ -134,7 +141,8 @@ class IntersectionTensor:
             yield np.repeat(rows, per_row), code, c
 
     def products(self, r, s):
-        """Nonzero slice {t: c_{rs}^t} for ids (r, s), in ascending t."""
+        """Nonzero slice {t: c_{rs}^t} for ids (r, s), in ascending t; each
+        call scans the whole (rank, n) signature matrix."""
         code = int(r) * self.rank + int(s)
         c = np.concatenate([np.count_nonzero(b == code, axis=1) for _, b in self._blocks()])
         t = np.flatnonzero(c)
@@ -271,17 +279,14 @@ def _code_dtype(r):
             np.int32 if r * r <= 1 << 31 else np.int64)
 
 
-def _code_matrix(colors, r):
-    """The transposed color matrix, in the code type ``_code_dtype(r)``."""
-    return np.ascontiguousarray(colors.T, dtype=_code_dtype(r))
-
-
-def _row_signatures(colors_t, row, r):
-    """Sorted composition codes of pairs (alpha, gamma) of one row: ``row``
-    holds color(alpha, beta) over beta, and row i of ``colors_t`` (from
-    ``_code_matrix``) color(beta, gamma) for the i-th gamma, so row i of the
-    result holds the multiset {color(alpha,beta)*r + color(beta,gamma) : beta}."""
-    code = row.astype(colors_t.dtype) * colors_t.dtype.type(r) + colors_t
+def _row_signatures(colors_t, row, r, cols):
+    """Sorted composition codes, in the code type, of the pairs (alpha,
+    gamma) for gamma in ``cols``: ``row`` holds color(alpha, beta) over
+    beta and row gamma of ``colors_t`` color(beta, gamma), so row i of the
+    result holds the multiset {color(alpha,beta)*r + color(beta,gamma) :
+    beta} of the i-th gamma."""
+    code = colors_t[cols].astype(_code_dtype(r))
+    code += row.astype(code.dtype) * code.dtype.type(r)
     code.sort(axis=1)
     return code
 
@@ -291,41 +296,103 @@ def _verify_classes(colors, r):
 
     Codes are taken in ``colors`` (r colors), which must satisfy S1.  The
     reference of a color is the signature of its first pair in row-major
-    order.  The rows are walked one fiber at a time (points grouped by
-    diagonal color, ascending within each), and only the references of the
-    colors whose first pair lies in the current fiber are held.  A color met
-    in the rows of another fiber fails there, as it would against its
-    reference: under S1 the signature of (alpha, gamma) holds the code
-    color(alpha, alpha)*r + color(alpha, gamma), and no pair of another
-    fiber's rows has it.  Every row is walked.  Returns (first_cell, bad):
-    the flat index of every reference pair, and None when every pair
-    matches its reference, else (rows, masks): the ascending rows that hold
-    a failing pair, and for each the boolean mask of its failing pairs.
+    order.  Returns (first_cell, bad): the flat index of every reference
+    pair, and None when every pair matches its reference, else (rows,
+    masks): the ascending rows that hold a failing pair, and for each the
+    boolean mask of its failing pairs.
+
+    Under S2 the signature of (g, a) is that of (a, g) under the code map
+    u*r + s -> s* *r + u*, a bijection.  The transposed first pair of t is
+    a pair of t*; once it matches its reference, a pair below the diagonal
+    matches exactly when its transpose does.  So the pass first walks the
+    pairs on or above the diagonal and, below it, the first pairs and
+    their transposes, with the first cells read off the first row of each
+    fiber: there lie all first pairs when S3 holds, else some (a, a) has a
+    code t*r + s that the first diagonal pair of its fiber lacks.  A
+    failing pair, or S2 failing, and every pair is walked against the
+    first cells of the whole matrix, so the failures are the full pass's.
     """
     n = colors.shape[0]
-    colors_t = _code_matrix(colors, r)
+    heads = np.sort(first_cells(colors.diagonal()))
+    heads = heads[heads < n]                # the first point of each fiber
+    seen = first_cells(colors[heads])
+    first_cell = np.full(r, n * n, dtype=np.int64)
+    found = np.flatnonzero(seen < heads.size * n)
+    first_cell[found] = heads[seen[found] // n] * n + seen[found] % n
+    del seen, found
+    colors_t = np.ascontiguousarray(colors.T)
+    if (first_cell.max() < n * n
+            and _walk_classes(colors, colors_t, r, first_cell, True) is not None):
+        return first_cell, None
     first_cell = first_cells(colors)
-    by_first = np.argsort(first_cell)
-    row_start = np.searchsorted(first_cell[by_first], np.arange(n + 1) * n)
-    diag = colors.diagonal()
-    first_diag = diag[first_cell // n]
-    bad = {}
-    for d in np.flatnonzero(np.bincount(diag)):
-        mine = first_diag == d
-        slot = np.cumsum(mine) - 1      # the row of ``ref`` of each color of the fiber
-        ref = np.empty((int(slot[-1]) + 1, n), dtype=colors_t.dtype)
-        for alpha in np.flatnonzero(diag == d):
-            row = colors[alpha]
-            sig = _row_signatures(colors_t, row, r)
-            opened = by_first[row_start[alpha]:row_start[alpha + 1]]
-            ref[slot[opened]] = sig[first_cell[opened] % n]
-            ok = (sig == ref[slot[row]]).all(axis=1) & mine[row]
-            if not ok.all():
-                bad[int(alpha)] = ~ok
+    bad = _walk_classes(colors, colors_t, r, first_cell, False)
     if not bad:
         return first_cell, None
     rows = sorted(bad)
     return first_cell, (np.array(rows), np.array([bad[a] for a in rows]))
+
+
+def _walk_classes(colors, colors_t, r, first_cell, half):
+    """The walk of ``_verify_classes``: row alpha from column alpha when
+    ``half``, with the first pairs and their transposes below it, else
+    from column 0, one fiber's rows at a time, holding only that fiber's
+    references.  The columns of a row go in ascending order, a block of
+    signatures at a time, no taller than the references or one
+    ``BLOCK_CELLS`` step.  Returns {alpha: mask of its failing pairs}, or
+    for a half walk None as soon as S2 or a pair fails.  A pair is compared
+    with the reference row of its color among its own fiber's colors:
+    under S1 its signature holds exactly one code color(a, a)*r + s, s its
+    color, so it equals no reference of another color or fiber, nor a row
+    still zero."""
+    n = colors.shape[0]
+    diag = colors.diagonal()
+    pt = _color_dtype(n + 1)
+    at_row, at_col = (x.astype(pt) for x in np.divmod(first_cell, n))
+    every = np.arange(n, dtype=pt)
+    if half:
+        star = colors[at_col, at_row]
+        step = max(1, BLOCK_CELLS // n)
+        if any((star[colors[lo:lo + step]] != colors_t[lo:lo + step]).any()
+               for lo in range(0, n, step)):
+            return None
+        # the cells (hi, lo) below the diagonal of first pairs and their
+        # transposes, as codes hi*n + lo, once each and ascending
+        kt = np.dtype(_code_dtype(n))
+        hi, lo = np.maximum(at_row, at_col), np.minimum(at_row, at_col)
+        below = np.sort((hi.astype(kt) * kt.type(n) + lo)[hi != lo])
+        keep = np.ones(below.size, dtype=bool)
+        np.not_equal(below[1:], below[:-1], out=keep[1:])
+        ex_row, below = np.divmod(below[keep], kt.type(n))
+        ex_start = np.searchsorted(ex_row, np.arange(n + 1, dtype=kt)).tolist()
+        del star, hi, lo, keep, ex_row
+    by_row = np.argsort(at_row, kind="stable").astype(_color_dtype(r))
+    opens = np.searchsorted(at_row[by_row], np.arange(n + 1, dtype=pt)).tolist()
+    home = diag[at_row]         # the fiber (diagonal color) of each first pair
+    slot = np.zeros(r, dtype=_color_dtype(r))
+    ref = np.zeros((int(np.bincount(home).max()), n), dtype=_code_dtype(r))
+    step = max(ref.shape[0], BLOCK_CELLS // n)
+    bad = {}
+    for d in np.flatnonzero(np.bincount(diag)):
+        mine = np.flatnonzero(home == d)
+        slot[mine] = np.arange(mine.size)
+        for alpha in np.flatnonzero(diag == d).tolist():
+            row, cols = colors[alpha], every
+            if half:
+                cols = np.concatenate((below[ex_start[alpha]:ex_start[alpha + 1]], every[alpha:]))
+            opened = by_row[opens[alpha]:opens[alpha + 1]]
+            for lo in range(0, cols.size, step):
+                blk = cols[lo:lo + step]
+                sig = _row_signatures(colors_t, row, r, blk)
+                if opened.size:     # the references whose first pair is in the block
+                    pos = np.searchsorted(cols, at_col[opened]) - lo
+                    new = (pos >= 0) & (pos < len(blk))
+                    ref[slot[opened[new]]] = sig[pos[new]]
+                fail = (sig != ref[slot[row[blk]]]).any(axis=1)
+                if fail.any():
+                    if half:
+                        return None
+                    bad.setdefault(alpha, np.zeros(n, dtype=bool))[blk] = fail
+    return bad
 
 
 def _reference_signatures(cfg):
@@ -342,7 +409,7 @@ def _reference_signatures(cfg):
         row = colors[points[0]]
         cols = first_cells(row)     # n for a color absent from the row
         mine = np.flatnonzero(cols < n)
-        ref[mine] = _row_signatures(_code_matrix(colors[:, cols[mine]], r), row, r)
+        ref[mine] = _row_signatures(colors.T, row, r, cols[mine])
     return ref
 
 
@@ -433,9 +500,9 @@ def _weisfeiler_leman(colors):
         new = _fingerprint_classes(colors, r)
         if int(new.max()) + 1 == r:
             del new     # the fingerprint stopped refining, so new == colors
-            bad = _verify_classes(colors, r)[1]
+            first, bad = _verify_classes(colors, r)
             if bad is None:
-                return _checked_config(colors, r, verified=True)
+                return _checked_config(colors, r, first, verified=True)
             rows, masks = bad
             new = colors.astype(_color_dtype(2 * r)) * 2
             new[rows] += masks
@@ -474,25 +541,34 @@ def _validated(colors, canonicalize, copy=False):
     # contiguous ids are fewer than the n^2 cells, so a larger one fails
     # before anything is sized by it
     r = int(colors.max()) + 1
-    if r > n * n or first_cells(colors).max() == colors.size:
+    if r > n * n:
         raise ValueError("relation ids must be contiguous from 0")
+    first = None
     if canonicalize:
-        colors = canonicalize_colors(colors)
+        # the first cells of the new ids are the old ones in ascending
+        # order; an id that does not occur keeps the sentinel n^2
+        first = first_cells(colors)
+        colors, first = _relabeled(colors, first), np.sort(first)
     else:
         colors = colors.astype(_color_dtype(r), copy=copy)
-    return _checked_config(colors, r)
+    return _checked_config(colors, r, first)
 
 
-def _checked_config(colors, r, verified=False):
-    """Check S1, S2, fibers and valencies, then S3 unless ``verified``
-    says that it has already passed.  ``colors`` is in the color type of
-    ``r`` and becomes the configuration's colors, so no n^2 temporary here
-    is wider than it."""
+def _checked_config(colors, r, first=None, verified=False):
+    """Check that the ids are contiguous, then S1, S2, fibers and
+    valencies, then S3 unless ``verified`` says that it has already passed.
+    ``colors`` is in the color type of ``r`` and becomes the
+    configuration's colors, so no n^2 temporary here is wider than it;
+    ``first`` holds the first cell of each id, when the caller has them."""
     n = colors.shape[0]
     # The keys (r*R + s)*R + t of ``arrays()`` stay below 2^63.
     if r ** 3 >= 2 ** 63:
         raise TooLarge(f"rank {r} on {n} points exceeds the tensor key range "
                        "(rank^3 must stay below 2^63)")
+    if first is None:
+        first = first_cells(colors)
+    if first.max() == colors.size:
+        raise ValueError("relation ids must be contiguous from 0")
     # S1: a color that meets the diagonal must lie inside it.
     diag = colors.diagonal().copy()
     diag_counts = np.bincount(diag, minlength=r)
@@ -511,7 +587,6 @@ def _checked_config(colors, r, verified=False):
     # S2: the transpose of each color is a single color.  star[s] is the
     # color at the transpose of the first cell of s, and every cell of s
     # must have it at its transpose.
-    first = first_cells(colors)
     star = colors[first % n, first // n]
     if not (star[colors] == colors.T).all():
         raise _split_transpose(colors, r)
@@ -551,15 +626,14 @@ def _checked_config(colors, r, verified=False):
     # row-major first occurrence of every color, so an error names the first
     # deviating pair and the first pair of its color, the same on every run.
     if not verified:
-        first_cell, bad = _verify_classes(colors, r)
+        bad = _verify_classes(colors, r)[1]
         if bad is not None:
             alpha, gamma = int(bad[0][0]), int(np.flatnonzero(bad[1][0])[0])
             t = int(colors[alpha, gamma])
-            t_row, t_col = divmod(int(first_cell[t]), n)
-            colors_t = _code_matrix(colors, r)
+            t_row, t_col = divmod(int(first[t]), n)
             code, c1, c2 = _first_multiset_difference(
-                _row_signatures(colors_t, colors[alpha], r)[gamma],
-                _row_signatures(colors_t, colors[t_row], r)[t_col])
+                _row_signatures(colors.T, colors[alpha], r, [gamma])[0],
+                _row_signatures(colors.T, colors[t_row], r, [t_col])[0])
             rr, ss = divmod(code, r)
             raise AxiomS3Violated(
                 f"c[{rr}][{ss}][{t}] is {c1} at pair ({alpha},{gamma}) but {c2} at "

@@ -62,6 +62,10 @@ class IrreducibleBlock:
 
 @dataclass
 class SpectralDecomposition:
+    """The blocks of ``decompose``, principal first, then by (n_P, m_P).
+    Blocks of equal (m_P, n_P) come in no canonical order: the eigenvalue
+    order of a random central element, which depends on the orthonormal
+    basis of the center that ``_center_basis`` returns."""
     blocks: list
     principal_index: int
 

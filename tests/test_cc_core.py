@@ -132,7 +132,7 @@ def test_narrow_types_at_their_boundaries(n, tmp_path):
     narrow = n == 256
     for colors in (cfg.colors, loaded.colors):
         assert colors.dtype == cc_core._color_dtype(n) == (np.uint8 if narrow else np.uint16)
-    assert cc_core._code_matrix(C, n).dtype == (np.uint16 if narrow else np.int32)
+    assert cc_core._row_signatures(C.T, C[0], n, [1]).dtype == (np.uint16 if narrow else np.int32)
     ref = cc_core._reference_signatures(cfg)
     assert ref.dtype == (np.uint16 if narrow else np.int32)
     keys, counts = oracles.tensor_from_signatures_argsort(ref, n)
@@ -177,11 +177,42 @@ def test_validation_peak_memory_at_c499k6():
     # 499 points, rank 84: the int64 S2 codes, their transpose and sort
     # copy took 5.78 MiB; a uint8 working copy beside int64 colors 3.9 MiB;
     # uint8 colors throughout 2.1 MiB, the S3 pass on uint16 codes the
-    # largest part
+    # largest part; every pair walked, with the n x n gather of the
+    # references, 2.01 MiB; about half the pairs, a block of signatures at
+    # a time, 0.80 MiB
     colors = constructors.cyclotomic_scheme(constructors.FiniteField(499), 6).colors
     cfg, peak = oracles.traced_peak(cc_core.validate_config, colors)
     assert cfg.rank == 84 and np.array_equal(cfg.colors, colors)
-    assert peak <= 3 * 2**20
+    assert peak <= 2**20
+
+
+def _signature_rows(monkeypatch):
+    """A list that gets the number of signature rows of each
+    ``_row_signatures`` call from now on."""
+    computed = []
+    signatures = cc_core._row_signatures
+
+    def spy(*args):
+        sig = signatures(*args)
+        computed.append(len(sig))
+        return sig
+
+    monkeypatch.setattr(cc_core, "_row_signatures", spy)
+    return computed
+
+
+def test_s3_pass_walks_about_half_of_the_pairs(c67k2, c151k3, monkeypatch):
+    # under S2 the pass walks the pairs on or above the diagonal, and below
+    # it at most one pair per color; every pair, n^2 signature rows, before.
+    # The oracle test above counts the passes of the corpus and the
+    # explicit extensions
+    computed = _signature_rows(monkeypatch)
+    cc_core.validate_config(c151k3.colors)
+    assert sum(computed) <= 151 * 152 // 2 + 2 * c151k3.rank
+    # the one exact pass of a closure, on its final round
+    computed.clear()
+    assert extension.coherent_closure(c67k2, {0}).rank == 2245
+    assert 0 < sum(computed) <= 67 ** 2
 
 
 def test_noncontiguous_ids_rejected():
@@ -403,33 +434,112 @@ def _fiber_corruptions(cfg):
     spread[b, np.flatnonzero(C[b] != C[b, b])[0]] = t
     both = inside.copy()
     both[b] = spread[b]
-    return inside, spread, both
+    return [inside, spread, both]
 
 
-def test_fiber_walk_matches_all_references_oracle(corpus, c67k2, c151k3):
-    # S3 walked one fiber at a time, against the pass that holds every
-    # reference at once: the same first cells and the same failing pairs,
-    # every row and every pair of it, in int64 and in the narrow working copy
+def _s2_corruptions(cfg):
+    """Corruptions of a configuration that keep S1 and S2.  ``merged``: the
+    transpose t* of the color t of the first non-symmetric cell (0, g) of
+    row 0 relabeled t, ids made contiguous again.  When point 0 is a fiber
+    of its own, every pair of t lies above the diagonal and every pair of
+    t* below it, so only pairs below it fail, and of those the walk over
+    the upper triangle meets only the transpose (g, 0) of the first pair of
+    t.  ``swapped``: a pair (a, x) of the last point a and its transpose
+    recolored by another color of the same two fibers and its transpose,
+    ids made contiguous again."""
+    C = np.array(cfg.colors, dtype=np.int64)
+    a = cfg.n - 1
+    t = C[0, np.flatnonzero(cfg.star[C[0]] != C[0])[0]]
+    merged = cc_core.canonicalize_colors(np.where(C == cfg.star[t], t, C))
+    for x in np.flatnonzero(C[a] != C[a, a]):
+        other = np.flatnonzero((cfg.point_fiber == cfg.point_fiber[x])
+                               & (C[a] != C[a, x]) & (C[a] != C[a, a]))
+        if other.size:
+            break
+    swapped = C.copy()
+    u = C[a, other[0]]
+    swapped[a, x], swapped[x, a] = u, cfg.star[u]
+    return [merged, cc_core.canonicalize_colors(swapped)]
+
+
+# what validate_config raises on each corruption of frob23, and of the
+# explicit extensions of c67k2 and c151k3 at point 0, in the order of
+# _s2_corruptions and then _fiber_corruptions; the pass that walked every
+# pair raised the same
+CORRUPTION_ERRORS = [
+    ('AxiomS3Violated', 'c[2][3][2] is 2 at pair (0,9) but 1 at pair (0,8)',
+     (2, 3, 2), ((0, 9), (0, 8)), (2, 1)),
+    ('AxiomS3Violated', 'valency of color 4 differs between points 0 and 63',
+     (4, 5, 0), ((0, 0), (63, 63)), (7, 8)),
+    ('AxiomS3Violated', 'color 1 crosses source fibers [0, 1]', None, None, None),
+    ('AxiomS3Violated', 'valency of color 36 differs between points 1 and 66',
+     (36, 102, 35), ((1, 1), (66, 66)), (1, 2)),
+    ('AxiomS2Violated', 'transpose of color 1 is split across colors [34, 36]',
+     None, None, None),
+    ('AxiomS2Violated', 'transpose of color 2 is split across colors [36, 101]',
+     None, None, None),
+    ('AxiomS2Violated', 'transpose of color 1 is split across colors [34, 36]',
+     None, None, None),
+    ('AxiomS3Violated', 'color 1 crosses source fibers [0, 1]', None, None, None),
+    ('AxiomS3Violated', 'valency of color 84 differs between points 1 and 32',
+     (84, 3827, 52), ((1, 1), (32, 32)), (2, 1)),
+    ('AxiomS2Violated', 'transpose of color 1 is split across colors [51, 53]',
+     None, None, None),
+    ('AxiomS2Violated', 'transpose of color 2 is split across colors [53, 202]',
+     None, None, None),
+    ('AxiomS2Violated', 'transpose of color 1 is split across colors [51, 53]',
+     None, None, None),
+]
+
+
+def test_fiber_walk_matches_all_references_oracle(corpus, c67k2, c151k3, frob23, monkeypatch):
+    # S3 walked over the pairs on or above the diagonal, and below it the
+    # first pairs and their transposes, one fiber at a time, against the
+    # pass that holds every reference at once: the same first cells and the
+    # same failing pairs, every row and every pair of it, in int64 and in
+    # the narrow working copy
+    computed = _signature_rows(monkeypatch)
     configs = list(corpus.values()) + [extension.explicit_extension(c, 0)
                                        for c in (c67k2, c151k3)]
     for cfg in configs:
         ref, first_cell, bad = oracles.verify_classes_all_references(
             cfg.colors, cfg.rank, cfg.colors)
         for colors in (cfg.colors.astype(np.int64), cfg.colors):
+            computed.clear()
             ours = cc_core._verify_classes(colors, cfg.rank)
             assert np.array_equal(ours[0], first_cell) and ours[1] is bad is None
+            # no fallback to every pair: at most one pair below the
+            # diagonal per color
+            assert sum(computed) <= cfg.n * (cfg.n + 1) // 2 + cfg.rank
         # the references rebuilt from one row per fiber are the oracle's
         rebuilt = cc_core._reference_signatures(cfg)
         assert rebuilt.dtype == cc_core._code_dtype(cfg.rank)
         assert np.array_equal(rebuilt, ref)
-    for cfg in configs[-2:]:
-        for m in _fiber_corruptions(cfg):
-            _, first_cell, bad = oracles.verify_classes_all_references(m, cfg.rank, m)
+    errors = []
+    for cfg in [frob23] + configs[-2:]:
+        corruptions = _s2_corruptions(cfg)
+        if cfg is not frob23:
+            corruptions += _fiber_corruptions(cfg)
+        for i, m in enumerate(corruptions):
+            r = int(m.max()) + 1
+            _, first_cell, bad = oracles.verify_classes_all_references(m, r, m)
+            if i == 0 and cfg is not frob23:
+                # every failing pair lies below the diagonal, in column 0,
+                # and one is the transpose of the first pair of its color
+                x, y = np.nonzero(bad)
+                assert (y == 0).all() and (x > 0).all()
+                assert bad[first_cell[m[x[0], 0]] % cfg.n, 0]
             rows = np.flatnonzero(bad.any(axis=1))
-            for colors in (m.astype(np.int64), m.astype(cfg.colors.dtype)):
-                cells, (got, masks) = cc_core._verify_classes(colors, cfg.rank)
+            for colors in (m.astype(np.int64), m.astype(cc_core._color_dtype(r))):
+                cells, (got, masks) = cc_core._verify_classes(colors, r)
                 assert np.array_equal(cells, first_cell) and np.array_equal(got, rows)
                 assert masks.dtype == bool and np.array_equal(masks, bad[rows])
+            with pytest.raises((AxiomS2Violated, AxiomS3Violated)) as info:
+                cc_core.validate_config(m, canonicalize=False)
+            err = info.value
+            errors.append((type(err).__name__, str(err))
+                          + tuple(getattr(err, k, None) for k in ("triple", "pairs", "counts")))
+    assert errors == CORRUPTION_ERRORS
 
 
 def test_relation_fibers_hold_every_cell_and_crossing_is_named(corpus, c67k2, c151k3):
