@@ -48,13 +48,9 @@ class ColorBijection:
 
     def is_valid(self):
         """Whether every intersection number is preserved."""
-        R = self.source.rank
-        if sorted(self.mapping) != list(range(R)):
+        if sorted(self.mapping) != list(range(self.source.rank)):
             return False
-        T = self.source.tensor
-        m = np.asarray(self.mapping, dtype=cc_core._code_dtype(R))
-        return T.relabeled_equals(self.target.tensor,
-                                  lambda r, s: m[r] * m.dtype.type(R) + m[s], m)
+        return self.source.tensor.relabeled_equals(self.target.tensor, self.mapping)
 
     def inverse(self):
         inv = [0] * len(self.mapping)
@@ -78,25 +74,36 @@ def _colors(cfg):
 
     The codes of color x are (role, cells of the other two colors, c), one
     for every nonzero c_{ab}^t in which x is a, b or t, padded with zeros to
-    the longest row.  Codes are positive, since c > 0.  Refuses ranks above
-    ``ISO_RANK_CAP``.
+    the longest row.  Codes are positive, since c > 0.  The incidence is
+    read once from the runs of the tensor and kept in their narrow types,
+    grouped by the color it belongs to; each round widens only its codes.
+    Refuses ranks above ``ISO_RANK_CAP``.
     """
     r = cfg.rank
     if r > ISO_RANK_CAP:
         raise RankTooLarge(f"rank {r} exceeds algebraic search cap {ISO_RANK_CAP}")
-    a, b, t, c = cfg.tensor.arrays()
+    t, code, c = (np.concatenate(x) for x in zip(*cfg.tensor.runs()))
+    a, b = (x.astype(t.dtype) for x in np.divmod(code, code.dtype.type(r)))
     owner = np.concatenate((a, b, t))
+    size = np.bincount(owner, minlength=r)
     order = np.argsort(owner, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(owner.size) - np.searchsorted(owner[order], owner[order])
-    role = np.repeat(np.arange(3), c.size)
-    one, two = np.concatenate((b, a, a)), np.concatenate((t, t, b))
-    count = np.tile(c, 3)
+    # entry i of the row-major filled cells is the i-th entry of ``order``
+    role = (order >= c.size).astype(np.uint8) + (order >= 2 * c.size)
+    one, two = np.concatenate((b, a, a))[order], np.concatenate((t, t, b))[order]
+    count = np.tile(c, 3)[order]
+    filled = np.arange(int(size.max())) < size[:, None]
     scale = int(c.max()) + 1
 
     def codes(cells, m):
-        out = np.zeros((r, int(slot.max()) + 1), dtype=np.int64)
-        out[owner, slot] = ((role * m + cells[one]) * m + cells[two]) * scale + count
+        coded = role.astype(np.int64)
+        coded *= m
+        coded += cells[one]
+        coded *= m
+        coded += cells[two]
+        coded *= scale
+        coded += count
+        out = np.zeros(filled.shape, dtype=np.int64)
+        out[filled] = coded
         return out
 
     diagonal = np.isin(np.arange(r), cfg.diagonal_colors)

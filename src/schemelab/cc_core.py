@@ -21,9 +21,8 @@ Conventions:
   c_{rs}^t is the run of code r*R + s in row t.  Extensions of a scheme on
   n points have rank near n^2/4, too large for a dense R^3 array or a dict
   per (r, s); the matrix takes R*n narrow codes.  ``IntersectionTensor``
-  reads entries, ``products`` slices, runs a block of rows at a time and
-  coordinate arrays ``arrays()``, whose keys need R^3 < 2^63 (else
-  ``TooLarge``).
+  reads entries, runs a block of rows at a time, and compares itself with
+  another tensor under a color map (``relabeled_equals``).
 * S3 and the Weisfeiler-Leman closure share one kernel: the sorted
   composition codes color(a,b)*r + color(b,g) of pairs of one row
   (``_row_signatures``), checked class by class against the signature of
@@ -140,40 +139,26 @@ class IntersectionTensor:
             rows = np.arange(lo, lo + len(block), dtype=_color_dtype(self.rank))
             yield np.repeat(rows, per_row), code, c
 
-    def products(self, r, s):
-        """Nonzero slice {t: c_{rs}^t} for ids (r, s), in ascending t; each
-        call scans the whole (rank, n) signature matrix."""
-        code = int(r) * self.rank + int(s)
-        c = np.concatenate([np.count_nonzero(b == code, axis=1) for _, b in self._blocks()])
-        t = np.flatnonzero(c)
-        return dict(zip(t.tolist(), c[t].tolist()))
-
-    def items(self):
-        """Iterate ((r, s, t), c) over nonzero entries in ascending key order."""
-        u, s, t, c = self.arrays()
-        for r, s, t, c in zip(u.tolist(), s.tolist(), t.tolist(), c.tolist()):
-            yield (r, s, t), c
-
-    def nonzero_count(self):
-        return sum(c.size for _, _, c in self.runs())
-
-    def arrays(self):
-        """Nonzero entries as flat int64 arrays (r, s, t, c), sorted by
-        (r, s, t): the runs come in ascending t, so a stable sort of codes."""
-        t, code, c = (np.concatenate(x) for x in zip(*self.runs()))
-        order = np.argsort(code, kind="stable")
-        r, s = np.divmod(code[order].astype(np.int64), self.rank)
-        return r, s, t[order].astype(np.int64), c[order].astype(np.int64)
-
-    def relabeled_equals(self, other, codes, rows):
-        """Whether each row t, its codes r*rank + s mapped to ``codes(r, s)``
-        and sorted, equals row rows[t] of ``other``."""
+    def relabeled_equals(self, other, mapping=None, transpose=False):
+        """Whether c_{rs}^t equals c_{m(r) m(s)}^{m(t)} of ``other``, or
+        c_{m(s) m(r)}^{m(t)} when ``transpose``, for all r, s, t; m is the
+        color map ``mapping``, None for the identity."""
         if other._ref.shape != self._ref.shape:
             return False
+        R = self._ref.dtype.type(self.rank)
+        if mapping is not None:
+            mapping = np.asarray(mapping, dtype=self._ref.dtype)
         for lo, block in self._blocks():
-            new = codes(*np.divmod(block, block.dtype.type(self.rank)))
-            new.sort(axis=1)
-            if not np.array_equal(new, other._ref[rows[lo:lo + len(block)]]):
+            left, right = np.divmod(block, R)
+            if transpose:
+                left, right = right, left
+            rows = slice(lo, lo + len(block))
+            if mapping is not None:
+                left, right, rows = mapping[left], mapping[right], mapping[rows]
+            left *= R
+            left += right
+            left.sort(axis=1)
+            if not np.array_equal(left, other._ref[rows]):
                 return False
         return True
 
@@ -561,10 +546,10 @@ def _checked_config(colors, r, first=None, verified=False):
     configuration's colors, so no n^2 temporary here is wider than it;
     ``first`` holds the first cell of each id, when the caller has them."""
     n = colors.shape[0]
-    # The keys (r*R + s)*R + t of ``arrays()`` stay below 2^63.
-    if r ** 3 >= 2 ** 63:
-        raise TooLarge(f"rank {r} on {n} points exceeds the tensor key range "
-                       "(rank^3 must stay below 2^63)")
+    # A rank of 2^21 or more is refused before the checks below make their
+    # rank-sized arrays.
+    if r >= 1 << 21:
+        raise TooLarge(f"rank {r} on {n} points exceeds the rank cap 2^21")
     if first is None:
         first = first_cells(colors)
     if first.max() == colors.size:
@@ -731,7 +716,10 @@ def complex_product(cfg, r, s):
     """The set rs = {t : c_{rs}^t > 0} of basis relations in r·s."""
     cfg._check_id(r)
     cfg._check_id(s)
-    return frozenset(cfg.tensor.products(r, s))
+    T = cfg.tensor
+    code = T._ref.dtype.type(int(r) * T.rank + int(s))
+    hit = np.concatenate([(block == code).any(axis=1) for _, block in T._blocks()])
+    return frozenset(np.flatnonzero(hit).tolist())
 
 
 def indistinguishing_numbers(cfg):
@@ -814,9 +802,7 @@ def is_pseudocyclic_combinatorial(cfg):
 
 def is_commutative(cfg):
     """Whether c_{rs}^t = c_{sr}^t for all triples."""
-    T = cfg.tensor
-    R = T._ref.dtype.type(cfg.rank)
-    return T.relabeled_equals(T, lambda r, s: s * R + r, np.arange(cfg.rank))
+    return cfg.tensor.relabeled_equals(cfg.tensor, transpose=True)
 
 
 def is_symmetric(cfg):

@@ -288,13 +288,9 @@ def _analyze(args):
         k = cc_core.is_equivalenced(cfg)
         report["equivalenced_valency"] = k
         c = cc_core.indistinguishing_numbers(cfg)
-        nond = cfg.nondiagonal_colors
-        report["indistinguishing"] = {str(s): int(c[s]) for s in nond}
-        # the scheme's c, and pseudocyclicity (c(s) = k - 1 off the diagonal)
-        report["indistinguishing_number"] = max(
-            report["indistinguishing"].values(), default=0)
-        report["pseudocyclic_combinatorial"] = (
-            k if k is not None and all(c[s] == k - 1 for s in nond) else None)
+        report["indistinguishing"] = {str(s): int(c[s]) for s in cfg.nondiagonal_colors}
+        report["indistinguishing_number"] = cc_core.scheme_indistinguishing_number(cfg)
+        report["pseudocyclic_combinatorial"] = cc_core.is_pseudocyclic_combinatorial(cfg)
         dec = spectral.decompose(cfg)
         ks = spectral.is_pseudocyclic_spectral(cfg, dec)
         report["blocks"] = [list(b.pair) for b in dec.blocks]

@@ -112,7 +112,7 @@ def _check_conditions(D, nond):
     so the (chunk, m, m) scratch of both checks is O(CONDITION_CELLS), not
     O(m^3)."""
     m = len(nond)
-    step = max(1, CONDITION_CELLS // (m * m))
+    step = max(1, CONDITION_CELLS // max(1, m * m))
 
     def chunks():
         for i in range(m):

@@ -450,7 +450,7 @@ def center_basis_dense(cfg, tol=1e-8):
     c_{at}^u - c_{ta}^u at row (t, u) and column a, from one SVD, with
     singular values below tol * sigma_max taken as zero."""
     r = cfg.rank
-    a, b, u, c = cfg.tensor.arrays()
+    a, b, u, c = tensor_entries(cfg.tensor)
     eqs = np.zeros((r * r, r))
     np.add.at(eqs, (b * r + u, a), c)
     np.add.at(eqs, (a * r + u, b), -c)
@@ -505,10 +505,20 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def tensor_entries(T):
+    """The nonzero entries of an intersection tensor as int64 arrays
+    (r, s, t, c), sorted by (r, s, t), read off its runs: these come in
+    ascending t, so a stable sort of the codes r*rank + s."""
+    t, code, c = (np.concatenate(x) for x in zip(*T.runs()))
+    order = np.argsort(code, kind="stable")
+    r, s = np.divmod(code[order].astype(np.int64), T.rank)
+    return r, s, t[order].astype(np.int64), c[order].astype(np.int64)
+
+
 def dense_tensor(T):
     """The intersection tensor as a dense (r, r, r) int array."""
     arr = np.zeros((T.rank,) * 3, dtype=np.int64)
-    a, b, t, c = T.arrays()
+    a, b, t, c = tensor_entries(T)
     arr[a, b, t] = c
     return arr
 

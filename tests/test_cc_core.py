@@ -136,7 +136,7 @@ def test_narrow_types_at_their_boundaries(n, tmp_path):
     ref = cc_core._reference_signatures(cfg)
     assert ref.dtype == (np.uint16 if narrow else np.int32)
     keys, counts = oracles.tensor_from_signatures_argsort(ref, n)
-    u, s, t, c = cfg.tensor.arrays()
+    u, s, t, c = oracles.tensor_entries(cfg.tensor)
     assert np.array_equal((u * n + s) * n + t, keys)
     assert np.array_equal(c, counts)
     # C[a, b] = b - a, so c_{rs}^t = 1 exactly when t = r + s mod n
@@ -286,23 +286,19 @@ def test_tensor_api_views_agree_with_oracle(corpus):
     for name, cfg in corpus.items():
         R = cfg.rank
         T = cfg.tensor
-        u, s, t, c = T.arrays()
+        u, s, t, c = oracles.tensor_entries(T)
         keys = (u * R + s) * R + t
         assert (np.diff(keys) > 0).all() and (c > 0).all(), name
-        items = list(T.items())
-        assert items == [((a, b, g), x) for a, b, g, x in
-                         zip(u.tolist(), s.tolist(), t.tolist(), c.tolist())], name
-        assert T.nonzero_count() == len(items), name
         dense = oracles.dense_tensor(T)
-        assert np.count_nonzero(dense) == len(items), name
+        assert np.count_nonzero(dense) == keys.size, name
         reps = [cfg.relation_pairs(g)[0] for g in range(R)]
         for a in range(R):
             for b in range(R):
-                row = T.products(a, b)
-                assert list(row) == sorted(row), name
+                assert cc_core.complex_product(cfg, a, b) == set(
+                    np.flatnonzero(dense[a, b]).tolist()), name
                 for g in range(R):
                     count = oracles.triple_count(cfg.colors, a, b, *map(int, reps[g]))
-                    assert T[a, b, g] == dense[a, b, g] == row.get(g, 0) == count, name
+                    assert T[a, b, g] == dense[a, b, g] == count, name
 
 
 def test_is_commutative(frob23, c67k2):
@@ -351,31 +347,25 @@ def test_tensor_views_match_argsort_oracle(corpus, c67k2, c151k3, monkeypatch):
             keys, counts = oracles.tensor_from_signatures_argsort(ref, R)
             T = cfg.tensor
             assert T is cfg.tensor
-            u, s, t, c = T.arrays()
-            assert all(x.dtype == np.int64 for x in (u, s, t, c))
+            u, s, t, c = oracles.tensor_entries(T)
             assert np.array_equal((u * R + s) * R + t, keys) and np.array_equal(c, counts)
-            assert T.nonzero_count() == keys.size
-            # the runs come in ascending t, and within a row in ascending code
+            # the runs come in ascending t, and within a row in ascending
+            # code, in the color type of the rank and the code type
             t, code, c = (np.concatenate(x) for x in zip(*T.runs()))
+            assert t.dtype == cc_core._color_dtype(R) and code.dtype == cc_core._code_dtype(R)
             by_row = np.lexsort((keys // R, keys % R))
             assert np.array_equal(t, keys[by_row] % R)
             assert np.array_equal(code, keys[by_row] // R) and np.array_equal(c, counts[by_row])
 
 
-def test_readers_hold_no_nnz_sized_int64_array(monkeypatch):
+def test_readers_hold_no_nnz_sized_int64_array():
     # c499k6: rank 84, 40 671 nonzero intersection numbers.  The readers
-    # take the runs of the signature matrix a block of rows at a time; the
-    # int64 coordinate arrays (four of 8 bytes per nonzero) took
-    # is_commutative to 2266 KiB, indistinguishing_numbers to 1311,
-    # reg_numbers to 1273 and decompose to 3219, against 158, 208, 201 and
-    # 1074 KiB on the runs
+    # take the signature matrix a block of rows at a time; int64
+    # coordinate arrays (four of 8 bytes per nonzero) took is_commutative
+    # to 2266 KiB, indistinguishing_numbers to 1311, reg_numbers to 1273
+    # and decompose to 3219, against 127, 209, 201 and 1051 KiB on blocks
     c = constructors.cyclotomic_scheme(constructors.FiniteField(499), 6)
-    one = 8 * c.tensor.nonzero_count()      # one int64 array of the nonzeros
-
-    def refuse(self):
-        raise AssertionError("arrays() read")
-
-    monkeypatch.setattr(cc_core.IntersectionTensor, "arrays", refuse)
+    one = 8 * oracles.tensor_entries(c.tensor)[3].size    # one int64 array of the nonzeros
     for reader in (cc_core.is_commutative, cc_core.indistinguishing_numbers,
                    cc_core.reg_numbers):
         _, peak = oracles.traced_peak(reader, c)
@@ -411,8 +401,9 @@ def test_block_readers_do_not_depend_on_the_block_size(corpus, cells, monkeypatc
                 ColorBijection(cfg, cfg, star).is_valid(),
                 _affine(cfg),
                 spectral.decompose(cfg).pairs,
-                [T.products(a, b) for a in range(cfg.rank) for b in range(cfg.rank)],
-                T.nonzero_count()))
+                [cc_core.complex_product(cfg, a, b)
+                 for a in range(cfg.rank) for b in range(cfg.rank)],
+                [x.tolist() for x in oracles.tensor_entries(T)]))
     for name, (before, after) in answers.items():
         assert before == after, name
 
@@ -562,7 +553,7 @@ def test_closure_peak_memory_stays_near_the_tensor(c151k3):
     # starts, counts, keys, the order and both gathered copies at once:
     # 3.87 times the finished 16 B per nonzero
     T, peak = oracles.traced_peak(lambda: extension.coherent_closure(c151k3, {0}).tensor)
-    assert peak <= 2.5 * 16 * T.nonzero_count()
+    assert peak <= 2.5 * 16 * oracles.tensor_entries(T)[3].size
     # the closure alone keeps no references: holding all (rank, n) int32
     # references of its final round peaked at 1.5 times one set, holding
     # one fiber's at a time at 0.41
@@ -572,8 +563,8 @@ def test_closure_peak_memory_stays_near_the_tensor(c151k3):
 
 def test_key_range_cap_refuses_before_allocating():
     # 1449 points, the diagonal one color and every other cell its own:
-    # rank 2 098 153, whose cube passes 2^63, the range of the keys of
-    # ``arrays()``
+    # rank 2 098 153, past the rank cap 2^21.  Without the cap the input
+    # fails the valency check only after 138 MiB traced
     n = 1449
     m = np.arange(1, n * n + 1).reshape(n, n)
     np.fill_diagonal(m, 0)
@@ -590,8 +581,13 @@ def test_key_range_cap_refuses_before_allocating():
 
 
 def test_only_cc_core_reads_tensor_internals():
+    # the signature matrix ``_ref`` under any name, or any private member
+    # read through a ``tensor``
     src = Path(cc_core.__file__).parent
-    private = re.compile(r"tensor\._|\._(keys|counts|products)\b")
+    private = re.compile(r"\b_ref\b|tensor\._")
+    assert [bool(private.search(line)) for line in (
+        "m = T._ref[lo:hi]", 'getattr(T, "_ref")', "cfg.tensor._blocks()",
+        "self._blocks = _design_blocks(self.config)")] == [True, True, True, False]
     offenders = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
                  if path.name != "cc_core.py"
                  for i, line in enumerate(path.read_text().splitlines(), 1)
@@ -697,11 +693,11 @@ def test_valency_weighted_product_identity(corpus):
     # n_r n_s = sum_t c_{rs}^t n_t
     for name, cfg in corpus.items():
         val = cfg.valencies
+        dense = oracles.dense_tensor(cfg.tensor)
         for r in range(cfg.rank):
             for s in range(cfg.rank):
                 lhs = int(val[r]) * int(val[s])
-                rhs = sum(c * int(val[t])
-                          for t, c in cfg.tensor.products(r, s).items())
+                rhs = int(dense[r, s] @ val)
                 assert lhs == rhs, (name, r, s)
 
 
@@ -727,11 +723,12 @@ def test_flat_products_iff_selfproducts_meet_trivially(corpus):
             continue
         star = cfg.star
         e = cfg.identity_color
+        dense = oracles.dense_tensor(cfg.tensor)
         for r in cfg.nondiagonal_colors:
             rr = cc_core.complex_product(cfg, r, int(star[r]))
             for s in cfg.nondiagonal_colors:
                 ss = cc_core.complex_product(cfg, s, int(star[s]))
-                flat = max(cfg.tensor.products(int(star[r]), s).values())
+                flat = dense[int(star[r]), s].max()
                 assert (flat <= 1) == (rr & ss == {e}), (name, r, s)
 
 

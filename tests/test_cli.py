@@ -416,6 +416,20 @@ def test_extend_closure_fallback(ag23_file, capsys):
     assert code == 0
 
 
+def test_extend_one_point_scheme(tmp_path, capsys):
+    # n = 1, rank 1: no non-diagonal color, so the conditions of the
+    # explicit extension check an empty splitting array
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "rank": 1, "colors": [0], "metadata": {}}))
+    for method in ("both", "explicit", "closure"):
+        code, out, _ = run(capsys, "extend", str(path), "--point", "0",
+                           "--method", method, "--json")
+        assert code == 0, method
+        report = json.loads(out)
+        assert (report["rank"], report["fibers"]) == (1, "1x1"), method
+        assert report["methods_agree"] is (True if method == "both" else None)
+
+
 def test_check_properties(c67_file, ag23_file, tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(c67_file), "frobenius-aut")
     assert code == 0 and "Aut order 134" in out and "Frobenius: yes" in out
